@@ -70,14 +70,13 @@ void report(const char* name, double base_s, double new_s) {
 }
 
 /// Emits BENCH_gp_kernel.json into $MFA_BENCH_OUT, if set.
-void emit_json(int iters, double headline, double batched_k8) {
+void emit_json(int iters, double headline) {
   const char* dir = std::getenv("MFA_BENCH_OUT");
   if (dir == nullptr || *dir == '\0') return;
   mfa::io::Json doc = mfa::io::Json::object();
   doc.set("bench", mfa::io::Json::string("gp_kernel"));
   doc.set("iters", mfa::io::Json::number(iters));
   doc.set("headline_speedup", mfa::io::Json::number(headline));
-  doc.set("batched_speedup_k8", mfa::io::Json::number(batched_k8));
   mfa::io::Json rows = mfa::io::Json::array();
   for (const Measurement& m : g_measurements) {
     mfa::io::Json row = mfa::io::Json::object();
@@ -149,10 +148,12 @@ int main(int argc, char** argv) {
   // times per iteration and the cache collapses them to lookups.
   const double t_lanes[] = {0.0, 0.05, 0.10};
   auto gpa_pass = [&](mfa::core::RelaxationCache* cache) {
+    mfa::core::SolverContext ctx;
+    ctx.relax_cache = cache;
     for (double t : t_lanes) {
       mfa::alloc::GpaOptions o;
       o.greedy.t_max = t;
-      o.relax_cache = cache;
+      o.context = &ctx;
       auto r = mfa::alloc::GpaSolver(o).solve(problem);
       if (!r.is_ok()) std::abort();
     }
@@ -172,12 +173,14 @@ int main(int argc, char** argv) {
   // compiled + cached vs the PR-1 baseline (interpretive, cold).
   auto gpa_ip_pass = [&](mfa::core::RelaxationCache* c,
                          const mfa::gp::SolverOptions& gp_opts) {
+    mfa::core::SolverContext ctx;
+    ctx.relax_cache = c;
     for (double t : t_lanes) {
       mfa::alloc::GpaOptions o;
       o.use_interior_point = true;
       o.gp = gp_opts;
       o.greedy.t_max = t;
-      o.relax_cache = c;
+      o.context = &ctx;
       auto r = mfa::alloc::GpaSolver(o).solve(problem);
       if (!r.is_ok()) std::abort();
     }
@@ -189,83 +192,13 @@ int main(int argc, char** argv) {
       iters, [&](int) { gpa_ip_pass(&head_cache, compiled_gp); });
   report("GP+A x3 lanes, GP root: compiled+cached", head_base, head_new);
 
-  // ---- 5. Batched lane-parallel kernel (gp/batched.hpp): K structurally
-  // identical relaxation GPs — VGG with per-lane WCET scaling, same
-  // structure, different coefficients — solved as one lock-step batch vs
-  // K scalar prepared solves on the same compiled models. K = 1 goes
-  // through solve_batch's scalar fallback (dispatch overhead only).
-  double batched_k8 = 0.0;
-  for (int k_lanes : {1, 2, 4, 8, 16}) {
-    std::vector<mfa::core::Problem> variants;
-    variants.reserve(static_cast<std::size_t>(k_lanes));
-    for (int l = 0; l < k_lanes; ++l) {
-      mfa::core::Problem v = problem;
-      for (mfa::core::Kernel& kern : v.app.kernels) {
-        kern.wcet_ms *= 1.0 + 0.03 * l;
-      }
-      variants.push_back(std::move(v));
-    }
-    std::vector<mfa::gp::GpProblem> gps;
-    gps.reserve(variants.size());
-    for (const mfa::core::Problem& v : variants) {
-      gps.push_back(mfa::core::build_relaxation_gp(
-          v, mfa::core::CuBounds::defaults(v)));
-    }
-    // One shared Structure for the whole group: build once, clone+patch
-    // per lane (the model-cache hit path).
-    const mfa::Fingerprint fp = gps[0].structural_fingerprint();
-    const mfa::gp::CompiledModel base_model =
-        mfa::gp::CompiledModel::build(gps[0], compiled_gp.variable_box);
-    std::vector<mfa::gp::CompiledModel> models;
-    models.reserve(gps.size());
-    for (const mfa::gp::GpProblem& g : gps) {
-      mfa::gp::CompiledModel m = base_model;
-      m.patch_coefficients(g, compiled_gp.variable_box, fp);
-      models.push_back(std::move(m));
-    }
-    const mfa::gp::GpSolver solver(compiled_gp);
-    const double scalar_s = time_per_run(iters, [&](int) {
-      for (int l = 0; l < k_lanes; ++l) {
-        auto s = solver.solve(gps[static_cast<std::size_t>(l)],
-                              models[static_cast<std::size_t>(l)]);
-        if (!s.ok()) std::abort();
-      }
-    });
-    std::vector<mfa::gp::BatchLane> lanes(
-        static_cast<std::size_t>(k_lanes));
-    for (int l = 0; l < k_lanes; ++l) {
-      lanes[static_cast<std::size_t>(l)].problem =
-          &gps[static_cast<std::size_t>(l)];
-      lanes[static_cast<std::size_t>(l)].model =
-          &models[static_cast<std::size_t>(l)];
-    }
-    const double batched_s = time_per_run(iters, [&](int) {
-      const auto sols = solver.solve_batch(lanes);
-      for (const auto& s : sols) {
-        if (!s.ok()) std::abort();
-      }
-    });
-    char name[64];
-    std::snprintf(name, sizeof name, "batched K=%d (vs %d scalar solves)",
-                  k_lanes, k_lanes);
-    report(name, scalar_s, batched_s);
-    if (k_lanes == 8) batched_k8 = scalar_s / batched_s;
-  }
-
   const double headline = head_base / head_new;
   std::printf("\nheadline speedup (compiled + cached vs PR-1 baseline): "
               "%.2fx (target >= 3x)\n",
               headline);
-  std::printf("batched kernel speedup at K=8 (vs scalar compiled): "
-              "%.2fx (target >= 2x)\n",
-              batched_k8);
-  emit_json(iters, headline, batched_k8);
+  emit_json(iters, headline);
   if (check && headline < 3.0) {
     std::printf("FAIL: headline below 3x\n");
-    return 1;
-  }
-  if (check && batched_k8 < 2.0) {
-    std::printf("FAIL: batched K=8 below 2x\n");
     return 1;
   }
   return 0;

@@ -25,14 +25,12 @@
 //   * warm must beat cold on total Newton iterations (PR-4),
 //   * Reprioritize/ResizePlatform events must perform *zero* full GP
 //     recompiles — numeric-only deltas keep the composite's structure,
-//     so every such solve must be a model-cache hit + patch (PR-5), and
+//     so every such solve must be a model-cache hit + patch (PR-5),
 //   * the WAL replay's deterministic event log must be byte-identical
 //     to the non-WAL warm replay — durability is observability-free
 //     (PR-6, the property crash recovery rides on),
 //   * every full IR lowering must match a compiled-model cache miss
-//     (no path compiles structures behind the cache's back),
-//   * zero batched-kernel misgroupings: fingerprint grouping must never
-//     hand the lane-parallel kernel models of different structure, and
+//     (no path compiles structures behind the cache's back), and
 //   * zero heap allocations inside warm delta application — the runtime
 //     half of the zero-allocation warm path (support/alloc_count.hpp).
 //     Enforced when the counting interposer is linked
@@ -52,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "gp/batched.hpp"
 #include "gp/solver.hpp"
 #include "io/serialize.hpp"
 #include "scenario/trace.hpp"
@@ -78,11 +75,6 @@ struct ReplayStats {
   std::uint64_t warm_allocs = 0;
   std::int64_t gp_compiles = 0;  ///< full IR lowerings
   std::int64_t gp_patches = 0;   ///< coefficient patches
-  /// Batched-kernel misgroupings (lanes whose compiled models did not
-  /// share a structure at batch-build time) observed during the replay —
-  /// fingerprint grouping must make this impossible, so --check gates
-  /// the delta at zero.
-  std::int64_t batched_misgroupings = 0;
   /// Full recompiles charged to numeric-only (reprioritize/resize)
   /// events — the --check gate requires zero.
   std::int64_t numeric_event_compiles = 0;
@@ -115,7 +107,6 @@ ReplayStats replay(const mfa::scenario::Trace& trace, bool warm_start,
 
   ReplayStats stats;
   const std::int64_t newton0 = mfa::gp::total_newton_iterations();
-  const std::int64_t misgroup0 = mfa::gp::total_batched_misgroupings();
   const auto t0 = Clock::now();
   auto opened = mfa::service::AllocServer::open(trace.platform, options);
   if (!opened.is_ok()) {
@@ -143,8 +134,6 @@ ReplayStats replay(const mfa::scenario::Trace& trace, bool warm_start,
   server.stop();
   stats.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   stats.newton = mfa::gp::total_newton_iterations() - newton0;
-  stats.batched_misgroupings =
-      mfa::gp::total_batched_misgroupings() - misgroup0;
   double total_ms = 0.0;
   for (double ms : event_ms) total_ms += ms;
   stats.mean_event_ms =
@@ -284,8 +273,6 @@ void print_mode_table(const ReplayStats& cold, const ReplayStats& warm,
         wal.gp_patches);
   row_i("  of compiles: numeric evts", cold.numeric_event_compiles,
         warm.numeric_event_compiles, wal.numeric_event_compiles);
-  row_i("batched misgroupings", cold.batched_misgroupings,
-        warm.batched_misgroupings, wal.batched_misgroupings);
   row_i("model cache hits", static_cast<std::int64_t>(cold.model.hits),
         static_cast<std::int64_t>(warm.model.hits),
         static_cast<std::int64_t>(wal.model.hits));
@@ -407,13 +394,6 @@ int main(int argc, char** argv) {
                     "the model cache recorded %lld misses (hidden compiles)\n",
                     mode, static_cast<long long>(stats.gp_compiles),
                     static_cast<long long>(stats.model.misses));
-        rc = 1;
-      }
-      if (stats.batched_misgroupings != 0) {
-        std::printf("FAIL: %s replay hit %lld batched-group misgroupings "
-                    "(fingerprint grouping must prevent all of them)\n",
-                    mode,
-                    static_cast<long long>(stats.batched_misgroupings));
         rc = 1;
       }
     }

@@ -30,13 +30,11 @@ StatusOr<GpaResult> GpaSolver::solve(const core::Problem& problem) const {
                options_.warm->n_hat.size() == problem.num_kernels())
           ? &*options_.warm
           : nullptr;
-  core::CompiledModelCache* model_cache = options_.resolved_model_cache();
-  core::RelaxationCache* relax_cache = options_.resolved_relax_cache();
-  // An injected root (batched dispatch) replaces the whole step: no
-  // cache read or write — see GpaOptions::root_override.
-  const bool overridden = options_.root_override.has_value() &&
-                          options_.root_override->n_hat.size() ==
-                              problem.num_kernels();
+  const core::SolverContext* ctx = options_.context;
+  core::CompiledModelCache* model_cache =
+      ctx != nullptr ? ctx->model_cache : nullptr;
+  core::RelaxationCache* relax_cache =
+      ctx != nullptr ? ctx->relax_cache : nullptr;
   auto solve_root = [this, &problem, warm,
                      model_cache]() -> StatusOr<core::RelaxedSolution> {
     if (options_.use_interior_point) {
@@ -51,9 +49,6 @@ StatusOr<GpaResult> GpaSolver::solve(const core::Problem& problem) const {
                                   warm != nullptr ? warm->ii : 0.0);
   };
   StatusOr<core::RelaxedSolution> relaxed = [&]() {
-    if (overridden) {
-      return StatusOr<core::RelaxedSolution>(*options_.root_override);
-    }
     if (relax_cache == nullptr) return solve_root();
     const core::Fingerprint key =
         options_.use_interior_point

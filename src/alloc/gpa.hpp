@@ -10,9 +10,7 @@
 
 #include "alloc/greedy.hpp"
 #include "core/allocation.hpp"
-#include "core/compiled_cache.hpp"
 #include "core/problem.hpp"
-#include "core/relax_cache.hpp"
 #include "core/relaxation.hpp"
 #include "core/solver_context.hpp"
 #include "solver/discretize.hpp"
@@ -35,41 +33,12 @@ struct GpaOptions {
   /// the seed in, so warm entries never alias cold ones.
   std::optional<core::RelaxedSolution> warm;
 
-  /// Externally computed root relaxation: when set, Step 1 is skipped —
-  /// this value feeds the discretizer directly and the relaxation cache
-  /// is bypassed for the root on purpose. The batched dispatcher
-  /// (runtime/batch.cpp) injects its lane results here: a batched-kernel
-  /// root is only tolerance-equal to the scalar solve, so publishing it
-  /// under a scalar cache key would poison byte-determinism for every
-  /// later scalar caller. `warm` is ignored when this is set.
-  std::optional<core::RelaxedSolution> root_override;
-
   /// Shared solver resources (caches, budget, pool) — the single wiring
   /// point; see core/solver_context.hpp. Not owned. The root solve and
   /// every branch-and-bound node go through the context's relaxation
   /// cache, and the interior-point root through its compiled-model
   /// cache; both are byte-transparent accelerations.
   const core::SolverContext* context = nullptr;
-
-  /// DEPRECATED aliases (one more PR): per-field cache pointers from
-  /// before SolverContext existed. Still honored when `context` is null
-  /// or its corresponding field is null; prefer `context`.
-  core::RelaxationCache* relax_cache = nullptr;
-  core::CompiledModelCache* model_cache = nullptr;
-
-  /// Context-first resolution of the shared caches.
-  [[nodiscard]] core::RelaxationCache* resolved_relax_cache() const {
-    if (context != nullptr && context->relax_cache != nullptr) {
-      return context->relax_cache;
-    }
-    return relax_cache;
-  }
-  [[nodiscard]] core::CompiledModelCache* resolved_model_cache() const {
-    if (context != nullptr && context->model_cache != nullptr) {
-      return context->model_cache;
-    }
-    return model_cache;
-  }
 
   /// Migration-aware re-solve (lives next to the caches: the online
   /// service wires it per event like it wires the shared caches). When

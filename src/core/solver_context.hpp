@@ -25,12 +25,9 @@
 //
 // The struct lives in core (not runtime) so alloc-layer options can
 // carry it without a layering inversion; Budget and ThreadPool are
-// forward-declared since only pointers are stored. runtime/context.hpp
-// re-exports it as runtime::SolverContext, the name most callers use.
-//
-// The per-field pointers the context replaces (GpaOptions::relax_cache
-// and friends) remain as deprecated aliases for one PR; resolution
-// helpers on each options struct prefer the context.
+// forward-declared since only pointers are stored. It is the only way
+// to hand caches to GpaOptions, PortfolioOptions, BatchOptions and
+// ServerOptions: each carries one `context` pointer and nothing else.
 #pragma once
 
 #include "core/compiled_cache.hpp"

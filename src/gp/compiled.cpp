@@ -3,11 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <mutex>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "gp/problem.hpp"
-#include "gp/structure.hpp"
+#include "support/assert.hpp"
 
 namespace mfa::gp {
 namespace {
@@ -36,8 +42,115 @@ void count_structure_compile() {
 }
 }  // namespace detail
 
-// CompiledGp::Structure itself is defined in gp/structure.hpp so the
-// batched evaluator (gp/batched.cpp) can walk the same CSR arrays.
+namespace {
+
+/// FNV-1a over the bit patterns of a row signature. Collisions are
+/// resolved by exact comparison in intern_row(), so this only needs to
+/// spread well.
+std::uint64_t row_hash(const std::vector<std::pair<VarId, double>>& entries) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (const auto& [v, e] : entries) {
+    mix(v);
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(e));
+    std::memcpy(&bits, &e, sizeof(bits));
+    mix(bits);
+  }
+  return h;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Structure: everything the sparsity-level compiler produces, including
+// the monomial→term merge plan that patch_function() replays and the
+// cached phase-I slack lowering.
+// ---------------------------------------------------------------------------
+
+struct CompiledGp::Structure {
+  std::size_t num_vars = 0;
+  std::vector<std::uint32_t> fun_begin{0};  // function → first term
+  std::vector<std::uint32_t> row_of;        // per term → row id
+  std::vector<std::uint32_t> row_begin{0};  // row → first nnz entry
+  std::vector<std::uint32_t> var;           // nnz variable indices
+  std::vector<double> exp;                  // nnz exponents
+  std::vector<std::vector<std::uint32_t>> support;  // per function
+  // Merge plan: source monomial i of function f (global source index in
+  // [src_begin[f], src_begin[f+1])) accumulates into term term_of_src[i].
+  // patch_function() replays exactly this plan, in source order, so
+  // patched coefficients are bit-identical to a fresh add().
+  std::vector<std::uint32_t> src_begin{0};
+  std::vector<std::uint32_t> term_of_src;
+  std::size_t max_terms = 0;
+  // hash-consing index: row signature hash → candidate row ids
+  // (build-time only; untouched by evaluation and patching)
+  std::unordered_multimap<std::uint64_t, std::uint32_t> row_index;
+
+  // Lazily derived artifacts, cached per structure and shared by every
+  // clone. call_once makes first use thread-safe even when the owning
+  // CompiledModel sits in a concurrent cache. `derived` flags that one
+  // of them exists: appending functions after that would silently
+  // leave a stale slack problem or fingerprint behind, so the building
+  // API asserts it is still false.
+  mutable std::once_flag slack_once;
+  mutable std::shared_ptr<Structure> slack;
+  mutable std::once_flag fp_once;
+  mutable Fingerprint fp;
+  mutable std::atomic<bool> derived{false};
+
+  [[nodiscard]] std::size_t num_rows() const { return row_begin.size() - 1; }
+
+  /// Returns the id of the row with exactly these entries, interning it
+  /// into the row table on first sight.
+  std::uint32_t intern_row(
+      const std::vector<std::pair<VarId, double>>& entries) {
+    const std::uint64_t h = row_hash(entries);
+    auto [lo, hi] = row_index.equal_range(h);
+    for (auto it = lo; it != hi; ++it) {
+      const std::uint32_t r = it->second;
+      const std::uint32_t begin = row_begin[r];
+      if (row_begin[r + 1] - begin != entries.size()) continue;
+      bool same = true;
+      for (std::size_t k = 0; k < entries.size(); ++k) {
+        if (var[begin + k] != entries[k].first ||
+            exp[begin + k] != entries[k].second) {
+          same = false;
+          break;
+        }
+      }
+      if (same) return r;
+    }
+    const auto r = static_cast<std::uint32_t>(num_rows());
+    for (const auto& [v, e] : entries) {
+      MFA_ASSERT_MSG(v < num_vars, "monomial uses unknown variable");
+      var.push_back(v);
+      exp.push_back(e);
+    }
+    row_begin.push_back(static_cast<std::uint32_t>(var.size()));
+    row_index.emplace(h, r);
+    return r;
+  }
+
+  /// Appends a function from its per-term rows, deriving its support.
+  void finish_function(const std::vector<std::uint32_t>& rows) {
+    std::vector<std::uint32_t> sup;
+    for (const std::uint32_t r : rows) {
+      row_of.push_back(r);
+      for (std::uint32_t k = row_begin[r]; k < row_begin[r + 1]; ++k) {
+        sup.push_back(var[k]);
+      }
+    }
+    std::sort(sup.begin(), sup.end());
+    sup.erase(std::unique(sup.begin(), sup.end()), sup.end());
+    support.push_back(std::move(sup));
+    fun_begin.push_back(static_cast<std::uint32_t>(row_of.size()));
+    max_terms = std::max(max_terms, rows.size());
+  }
+};
 
 CompiledGp::CompiledGp(std::size_t num_vars)
     : s_(std::make_shared<Structure>()) {

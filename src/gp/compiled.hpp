@@ -181,8 +181,7 @@ class CompiledGp {
 
  private:
   friend class CompiledModel;
-  friend class BatchedModel;  // gp/batched.hpp: lane-parallel evaluation
-  struct Structure;           // defined in gp/structure.hpp
+  struct Structure;  // defined in compiled.cpp
 
   void ensure_workspace(GpWorkspace& ws) const;
 

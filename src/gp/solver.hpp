@@ -70,23 +70,6 @@ const char* to_string(GpStatus status);
 /// without threading counters through every intermediate layer.
 std::int64_t total_newton_iterations();
 
-/// One instance of a batched (lane-parallel) solve: a problem plus its
-/// prepared CompiledModel. Every model in one solve_batch call must
-/// share a single compiled Structure object (the CompiledModelCache's
-/// clone-then-patch path guarantees this for structurally identical
-/// problems); batches that do not are counted as misgroupings and fall
-/// back to per-lane scalar solves.
-struct BatchLane {
-  const GpProblem* problem = nullptr;
-  const CompiledModel* model = nullptr;
-  /// Optional warm seed (see GpSolver::solve overloads); may be null.
-  const std::vector<double>* x0 = nullptr;
-  /// Per-lane barrier opening t0; 0 means "use SolverOptions::t0".
-  /// Warm lanes pass their m/warm_gap opening here, so one batch can
-  /// mix warm and cold instances.
-  double t0 = 0.0;
-};
-
 /// Result of a GP solve.
 struct GpSolution {
   GpStatus status = GpStatus::kNumeric;
@@ -128,20 +111,6 @@ class GpSolver {
   [[nodiscard]] GpSolution solve(const GpProblem& problem,
                                  const CompiledModel& model,
                                  const std::vector<double>& x0) const;
-
-  /// Lane-parallel solve of K structurally identical prepared models
-  /// through the batched kernel (gp/batched.hpp): a lock-step two-phase
-  /// barrier where all lanes advance together, each lane runs its own
-  /// t-ladder, converged lanes retire early (frozen, then compacted out
-  /// once occupancy drops below half). Results are returned in lane
-  /// order and are deterministic per lane — independent of which other
-  /// lanes share the batch and of the batch's formation order — but
-  /// only tolerance-comparable to the scalar path (the scalar kernel
-  /// stays the parity oracle). Falls back to per-lane scalar solves for
-  /// K ≤ 1, for use_compiled_kernel = false, and for misgrouped batches
-  /// (lanes not sharing one Structure).
-  [[nodiscard]] std::vector<GpSolution> solve_batch(
-      const std::vector<BatchLane>& lanes) const;
 
   [[nodiscard]] const SolverOptions& options() const { return options_; }
 

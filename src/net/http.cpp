@@ -115,8 +115,12 @@ RequestParser::State RequestParser::fail(int status, std::string message) {
 }
 
 RequestParser::State RequestParser::feed(std::string_view bytes) {
-  if (state_ != State::kIncomplete) return state_;
+  // Bytes that arrive while a request is complete belong to the next
+  // pipelined request: buffer them for reset() to replay. A poisoned
+  // parser drops them; its connection closes after the error reply.
+  if (state_ == State::kError) return state_;
   buffer_.append(bytes.data(), bytes.size());
+  if (state_ != State::kIncomplete) return state_;
   return advance();
 }
 

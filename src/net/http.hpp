@@ -72,8 +72,10 @@ class RequestParser {
 
   explicit RequestParser(ParserLimits limits = ParserLimits());
 
-  /// Buffers `bytes` and advances; returns the new state. Once kError,
-  /// the parser stays poisoned until reset().
+  /// Buffers `bytes` and advances; returns the new state. Bytes fed
+  /// while a request is complete are kept for reset() to replay. Once
+  /// kError, the parser stays poisoned (and ignores input) until
+  /// reset().
   State feed(std::string_view bytes);
 
   [[nodiscard]] State state() const { return state_; }

@@ -8,20 +8,20 @@
 // threads. Parallelism therefore comes purely from solving different
 // instances concurrently, which is the shape of the Fig. 3–5 grids.
 //
-// By default every batch shares one RelaxationCache across all its
-// requests and portfolio lanes: duplicate and near-duplicate instances
-// (the same grid point under several methods, the same root relaxation
-// under several greedy deviations) collapse to cache hits. Cache keys
-// capture every solve input, so a hit returns exactly the bytes a solve
-// would have produced and the bit-for-bit determinism guarantee above
-// holds with the cache enabled, whichever thread populated it first.
+// Every batch shares one RelaxationCache and one CompiledModelCache
+// across all its requests and portfolio lanes: duplicate and
+// near-duplicate instances (the same grid point under several methods,
+// the same root relaxation under several greedy deviations) collapse to
+// cache hits. Cache keys capture every solve input, so a hit returns
+// exactly the bytes a solve would have produced and the bit-for-bit
+// determinism guarantee above holds whichever thread populated an entry
+// first.
 #pragma once
 
 #include <vector>
 
 #include "core/problem.hpp"
-#include "runtime/context.hpp"
-#include "runtime/relax_cache.hpp"
+#include "core/solver_context.hpp"
 #include "runtime/solve.hpp"
 
 namespace mfa::runtime {
@@ -31,34 +31,13 @@ struct BatchOptions {
   int num_threads = 0;
   /// Portfolio applied to every request without its own options.
   PortfolioOptions portfolio;
-  /// Share one relaxation cache across the whole batch (see file
-  /// comment). Disable to reproduce PR-1 cold-solve behavior.
-  bool share_relaxations = true;
-  /// Group requests whose root-relaxation GPs share one structural
-  /// fingerprint (a design-space sweep is typically one structure with
-  /// varying coefficients) and solve each group's roots through the
-  /// lane-parallel batched kernel (gp/batched.hpp) in one lock-step
-  /// barrier run, injecting the per-lane results via
-  /// GpaOptions::root_override. Only active when the portfolio's GP+A
-  /// lanes use the interior-point compiled kernel; requests with their
-  /// own options, singleton groups and lanes whose batched solve did
-  /// not converge fall back to the normal scalar path. Per-lane results
-  /// are deterministic and independent of group formation order, but
-  /// only tolerance-equal to scalar solves — batched roots therefore
-  /// bypass the relaxation cache (see GpaOptions::root_override).
-  bool batch_structural_groups = true;
-  /// Longer-lived shared resources to use instead of the per-batch
-  /// caches, so hits survive across solve_all() calls (e.g. successive
-  /// sweeps over one design space — grid sweeps repeat one model
-  /// structure across every instance, so interior-point roots compile
-  /// once per structure). The single wiring point; see
-  /// core/solver_context.hpp. Not owned; implies sharing when its cache
-  /// fields are set.
-  const SolverContext* context = nullptr;
-  /// DEPRECATED aliases (one more PR) for the context's cache fields;
-  /// still honored when `context` leaves them null. Not owned.
-  RelaxationCache* relax_cache = nullptr;
-  CompiledModelCache* model_cache = nullptr;
+  /// Longer-lived shared caches to use instead of the per-batch ones,
+  /// so hits survive across solve_all() calls (e.g. successive sweeps
+  /// over one design space — grid sweeps repeat one model structure
+  /// across every instance, so interior-point roots compile once per
+  /// structure). The single wiring point; see core/solver_context.hpp.
+  /// Each cache it leaves null is a fresh per-batch cache. Not owned.
+  const core::SolverContext* context = nullptr;
   /// Migration-aware re-solve applied to every request without its own
   /// options (next to the caches, same wiring rules): forwarded into
   /// `portfolio.stability` when that is unset. Not owned.

@@ -38,17 +38,19 @@ LaneRun run_lane(const StrategySpec& spec, const core::Problem& problem,
     case StrategySpec::Kind::kGpa: {
       alloc::GpaOptions o = options.gpa;
       o.greedy.t_max = spec.t_max;
-      // Portfolio-level context/caches take precedence over whatever the
-      // base GpaOptions carried (context first, then the deprecated
-      // per-field aliases); flatten the resolution into the per-field
-      // pointers so the lane sees one unambiguous wiring.
-      core::RelaxationCache* cache = options.resolved_relax_cache();
-      if (cache == nullptr) cache = o.resolved_relax_cache();
-      core::CompiledModelCache* models = options.resolved_model_cache();
-      if (models == nullptr) models = o.resolved_model_cache();
-      o.context = nullptr;
-      o.relax_cache = cache;
-      o.model_cache = models;
+      // The lane sees one merged context: each cache the portfolio-level
+      // context sets wins over the one the base GpaOptions carried.
+      core::SolverContext lane_ctx;
+      if (o.context != nullptr) lane_ctx = *o.context;
+      if (options.context != nullptr) {
+        if (options.context->relax_cache != nullptr) {
+          lane_ctx.relax_cache = options.context->relax_cache;
+        }
+        if (options.context->model_cache != nullptr) {
+          lane_ctx.model_cache = options.context->model_cache;
+        }
+      }
+      o.context = &lane_ctx;
       // Stability rides the same wiring as the caches: the portfolio-
       // level pointer reaches every GP+A lane unless the base GpaOptions
       // already carried its own.

@@ -50,8 +50,6 @@ AllocServer::AllocServer(core::Platform platform, ServerOptions options,
   ctx_.relax_cache = relax_cache_;
   ctx_.model_cache = model_cache_;
   options_.portfolio.context = &ctx_;
-  options_.portfolio.relax_cache = nullptr;
-  options_.portfolio.model_cache = nullptr;
   // Greedy placements are memoized server-wide: every GP+A lane of every
   // event consults one cache (the portfolio copies these options, so the
   // pointer must be set before the Portfolio is constructed).

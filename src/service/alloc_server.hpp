@@ -297,9 +297,9 @@ class AllocServer {
   /// The two numeric deltas (weight rewrite, platform swap), shared by
   /// the forward path and the structural-validation rollback. These are
   /// the dispatcher's end of the warm event path — coefficient/RHS
-  /// rewrites that must stay allocation-free through the composite,
-  /// patch_function/patch_affine and the batched kernels (see ROADMAP
-  /// item 1; the static face of `service_churn --check`). Require
+  /// rewrites that must stay allocation-free through the composite and
+  /// patch_function/patch_affine (see ROADMAP item 1; the static face
+  /// of `service_churn --check`). Require
   /// state_mutex_ held.
   MFA_WARM_PATH void apply_reprioritize(std::size_t index, double weight)
       MFA_REQUIRES(state_mutex_);

@@ -140,6 +140,9 @@ Status solve_node_into(const Problem& problem, const CuBounds& bounds,
 /// and an exhausted node budget aborts every not-yet-visited frame just
 /// as the stack search abandoned its remaining stack.
 struct PatchedSearch {
+  PatchedSearch(const Problem& p, const DiscretizeOptions& o)
+      : problem(p), options(o), bounds(CuBounds::defaults(p)) {}
+
   const Problem& problem;
   const DiscretizeOptions& options;
   CuBounds bounds;  ///< THE bounds: patched in place, restored on return
@@ -243,7 +246,7 @@ StatusOr<DiscretizeResult> Discretizer::run(const Problem& problem,
     // In-place bound patching over one shared CuBounds; the explicit
     // stack below is the bit-parity oracle (differential_fuzz
     // --patched-bounds replays both and compares).
-    PatchedSearch search{problem, options_, CuBounds::defaults(problem)};
+    PatchedSearch search(problem, options_);
     search.visit(root, 0);
     best_ii = search.best_ii;
     best_totals = std::move(search.best_totals);

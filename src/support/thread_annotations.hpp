@@ -16,7 +16,7 @@
 // MFA_WARM_PATH is *not* a compiler attribute: it marks functions on
 // the steady-state event path (AllocServer numeric-event dispatch →
 // CompositeBuilder coefficient/RHS deltas → CompiledGp::patch_* →
-// batched kernel lane loops) that must not allocate. tools/mfa_lint
+// CompiledModel::patch_coefficients) that must not allocate. tools/mfa_lint
 // walks the lexical call graph from every MFA_WARM_PATH function and
 // rejects reachable allocating calls (rule warm-path-alloc) — the
 // static face of ROADMAP item 1's zero-allocation gate, next to the
@@ -94,8 +94,9 @@
 /// compiler. There is an `allow(...)`-comment suppression syntax for
 /// deliberate cold branches, but src/ must stay suppression-free for
 /// this rule (CI runs mfa_lint --forbid-suppression warm-path-alloc):
-/// restructure so sizing happens at setup instead — see
-/// gp::BatchedModel::ensure_workspace for the pattern. The runtime
+/// restructure so sizing happens once, ahead of the steady state — see
+/// gp::CompiledGp::ensure_workspace, which grows a reusable workspace
+/// only until it fits, for the pattern. The runtime
 /// half of the same contract is support/alloc_count.hpp's counting
 /// interposer, gated by bench/service_churn --check.
 #define MFA_WARM_PATH

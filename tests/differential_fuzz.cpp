@@ -17,12 +17,11 @@
 //     *re-weighted* twin, cloned and coefficient-patched) returns
 //     byte-identical results to a fresh compile, cold and warm-started.
 //
-//  5. batched-vs-scalar parity — K coefficient variants of the seed's
-//     relaxation GP (same structure, re-weighted WCETs) solved through
-//     the lane-parallel batched kernel (gp/batched.hpp) agree with K
-//     independent scalar prepared solves, per lane, within a solver
-//     tolerance band (the batched kernel follows its own arithmetic;
-//     the contract is tolerance-level, not bitwise).
+//  5. bisection-vs-GP agreement — the exact closed-form bisection the
+//     serving path uses and the scalar interior-point GP solver (the
+//     paper's GPkit step, an independent algorithm over the same convex
+//     program) agree on feasibility (both solve, or both prove
+//     infeasibility) and on ÎI within 1e-6 relative.
 //
 //  6. stability oracle — the migration-aware packing search against a
 //     reference placement: zero budgets must reproduce the reference
@@ -40,10 +39,10 @@
 //     trace, across warm-start/batching flavors and under node caps.
 //
 // Usage: differential_fuzz [num_seeds] [--start S] [--out failure.json]
-//                          [--parity] [--batched] [--stability]
+//                          [--parity] [--relaxation] [--stability]
 //                          [--patched-bounds]
 //
-// --parity runs only check 4, --batched only check 5, --stability only
+// --parity runs only check 4, --relaxation only check 5, --stability only
 // check 6 and --patched-bounds only check 7 (no exact/naive oracles);
 // all are cheap enough for wide ctest slices across heterogeneous
 // platforms.
@@ -51,6 +50,7 @@
 // On mismatch it prints the seed and the scenario JSON to stderr, writes
 // the scenario to --out (CI uploads it as an artifact) and exits 1.
 // Budget-capped (unproved) exact/naive results are skipped, not failed.
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -78,7 +78,7 @@ struct Options {
   std::uint64_t count = 200;
   const char* out_path = nullptr;
   bool parity_only = false;
-  bool batched_only = false;
+  bool relaxation_only = false;
   bool stability_only = false;
   bool patched_bounds_only = false;
 };
@@ -156,61 +156,38 @@ const char* check_patch_parity(const mfa::core::Problem& problem) {
   return nullptr;
 }
 
-/// Batched-kernel oracle: K coefficient variants of the seed's
-/// relaxation GP — same structure, per-lane WCET re-weighting — solved
-/// as one lock-step batch must agree with K independent scalar prepared
-/// solves lane by lane. K varies with the seed (2..5) so ragged widths
-/// and the K = 2 minimum both get coverage.
-const char* check_batched_parity(const mfa::core::Problem& problem,
-                                 std::uint64_t seed) {
-  const mfa::gp::SolverOptions opts = gp_options();
-  const std::size_t k_lanes = 2 + static_cast<std::size_t>(seed % 4);
-  std::vector<mfa::gp::GpProblem> gps;
-  gps.reserve(k_lanes);
-  for (std::size_t l = 0; l < k_lanes; ++l) {
-    mfa::core::Problem v = problem;
-    for (mfa::core::Kernel& k : v.app.kernels) {
-      k.wcet_ms *= 1.0 + 0.07 * static_cast<double>(l);
+/// Largest relative ÎI gap check_relaxation_agreement has seen.
+double g_worst_relaxation_gap = 0.0;
+
+/// Check 5: the bisection root against the scalar interior-point GP on
+/// the same problem. Both must solve, or both must prove infeasibility
+/// (a GP iteration-limit or numeric failure is no such proof), and the
+/// two ÎI must agree to 1e-6 relative. Sets `*feasible` to the verdict.
+const char* check_relaxation_agreement(const mfa::core::Problem& problem,
+                                       bool* feasible) {
+  const auto bisection = mfa::core::solve_relaxation(problem);
+  const auto gp = mfa::core::solve_relaxation_gp(problem, gp_options());
+  *feasible = bisection.is_ok();
+  if (!bisection.is_ok() || !gp.is_ok()) {
+    if (!bisection.is_ok() && !gp.is_ok() &&
+        bisection.status().code() == mfa::Code::kInfeasible &&
+        gp.status().code() == mfa::Code::kInfeasible) {
+      return nullptr;
     }
-    const mfa::core::CuBounds bounds = mfa::core::CuBounds::defaults(v);
-    for (std::size_t k = 0; k < v.num_kernels(); ++k) {
-      if (bounds.lower[k] > bounds.upper[k]) return nullptr;  // no GP
-    }
-    gps.push_back(mfa::core::build_relaxation_gp(v, bounds));
+    std::fprintf(stderr, "bisection: %s, GP: %s\n",
+                 bisection.status().to_string().c_str(),
+                 gp.status().to_string().c_str());
+    return bisection.is_ok() != gp.is_ok()
+               ? "bisection and GP relaxations disagree on feasibility"
+               : "failed relaxation is not a proof of infeasibility";
   }
-  const mfa::Fingerprint fp = gps[0].structural_fingerprint();
-  const mfa::gp::CompiledModel base =
-      mfa::gp::CompiledModel::build(gps[0], opts.variable_box);
-  std::vector<mfa::gp::CompiledModel> models;
-  models.reserve(k_lanes);
-  for (const mfa::gp::GpProblem& g : gps) {
-    mfa::gp::CompiledModel m = base;
-    m.patch_coefficients(g, opts.variable_box, fp);
-    models.push_back(std::move(m));
-  }
-  const mfa::gp::GpSolver solver(opts);
-  std::vector<mfa::gp::BatchLane> lanes(k_lanes);
-  for (std::size_t l = 0; l < k_lanes; ++l) {
-    lanes[l].problem = &gps[l];
-    lanes[l].model = &models[l];
-  }
-  const std::vector<mfa::gp::GpSolution> batch = solver.solve_batch(lanes);
-  for (std::size_t l = 0; l < k_lanes; ++l) {
-    const mfa::gp::GpSolution scalar = solver.solve(gps[l], models[l]);
-    if (batch[l].ok() != scalar.ok()) {
-      return "batched and scalar GP solves disagree on convergence";
-    }
-    if (!scalar.ok()) continue;
-    for (std::size_t j = 0; j < scalar.x.size(); ++j) {
-      const double diff = std::abs(batch[l].x[j] - scalar.x[j]);
-      if (diff > 1e-4 * (1.0 + std::abs(scalar.x[j]))) {
-        std::fprintf(stderr,
-                     "lane %zu of %zu, x[%zu]: batched %.12g scalar %.12g\n",
-                     l, k_lanes, j, batch[l].x[j], scalar.x[j]);
-        return "batched GP lane drifted beyond tolerance of its scalar "
-               "solve";
-      }
-    }
+  const double a = bisection.value().ii;
+  const double b = gp.value().ii;
+  const double gap = std::abs(a - b) / std::abs(a);
+  g_worst_relaxation_gap = std::max(g_worst_relaxation_gap, gap);
+  if (!(gap <= 1e-6)) {
+    std::fprintf(stderr, "bisection ÎI %.12g, GP ÎI %.12g\n", a, b);
+    return "bisection and GP relaxation ÎI differ beyond 1e-6 relative";
   }
   return nullptr;
 }
@@ -464,8 +441,7 @@ const char* check_stability(const mfa::core::Problem& problem,
 /// Runs all solvers on one scenario; returns nullptr on agreement, else
 /// a static description of the first mismatch. Sets *feasible when the
 /// instance's feasibility was decided.
-const char* check_seed(const mfa::core::Problem& problem, std::uint64_t seed,
-                       bool* feasible) {
+const char* check_seed(const mfa::core::Problem& problem, bool* feasible) {
   // Exact (structured) vs naive (oracle) on the full objective.
   mfa::solver::ExactOptions exact_options;
   exact_options.max_nodes = 20'000'000;
@@ -545,8 +521,9 @@ const char* check_seed(const mfa::core::Problem& problem, std::uint64_t seed,
   // Compiled-model cache transparency (see check_patch_parity).
   if (const char* mismatch = check_patch_parity(problem)) return mismatch;
 
-  // Batched-vs-scalar GP kernel parity (see check_batched_parity).
-  return check_batched_parity(problem, seed);
+  // Bisection root vs the interior-point GP.
+  bool relax_feasible = true;
+  return check_relaxation_agreement(problem, &relax_feasible);
 }
 
 }  // namespace
@@ -560,8 +537,8 @@ int main(int argc, char** argv) {
       opt.out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--parity") == 0) {
       opt.parity_only = true;
-    } else if (std::strcmp(argv[i], "--batched") == 0) {
-      opt.batched_only = true;
+    } else if (std::strcmp(argv[i], "--relaxation") == 0) {
+      opt.relaxation_only = true;
     } else if (std::strcmp(argv[i], "--stability") == 0) {
       opt.stability_only = true;
     } else if (std::strcmp(argv[i], "--patched-bounds") == 0) {
@@ -575,7 +552,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [num_seeds] [--start S] [--out failure.json]"
-                   " [--parity] [--batched] [--stability]"
+                   " [--parity] [--relaxation] [--stability]"
                    " [--patched-bounds]\n",
                    argv[0]);
       return 2;
@@ -591,14 +568,14 @@ int main(int argc, char** argv) {
     const char* mismatch = nullptr;
     if (opt.parity_only) {
       mismatch = check_patch_parity(problem);
-    } else if (opt.batched_only) {
-      mismatch = check_batched_parity(problem, seed);
+    } else if (opt.relaxation_only) {
+      mismatch = check_relaxation_agreement(problem, &feasible);
     } else if (opt.stability_only) {
       mismatch = check_stability(problem, seed);
     } else if (opt.patched_bounds_only) {
       mismatch = check_patched_bounds(problem, seed);
     } else {
-      mismatch = check_seed(problem, seed, &feasible);
+      mismatch = check_seed(problem, &feasible);
     }
     if (mismatch != nullptr) {
       report_failure(seed, problem, opt, mismatch);
@@ -613,13 +590,17 @@ int main(int argc, char** argv) {
   }
   std::printf("differential fuzz%s: %" PRIu64 " seeds ok\n",
               opt.parity_only          ? " (patch parity)"
-              : opt.batched_only       ? " (batched parity)"
+              : opt.relaxation_only    ? " (relaxation agreement)"
               : opt.stability_only     ? " (stability)"
               : opt.patched_bounds_only ? " (patched bounds)"
                                         : "",
               checked);
-  if (!opt.parity_only && !opt.batched_only && !opt.stability_only &&
-      !opt.patched_bounds_only) {
+  if (opt.relaxation_only) {
+    std::printf("(%" PRIu64 " both solved, %" PRIu64
+                " both infeasible; worst relative ÎI gap %.2g)\n",
+                checked - infeasible, infeasible, g_worst_relaxation_gap);
+  } else if (!opt.parity_only && !opt.stability_only &&
+             !opt.patched_bounds_only) {
     std::printf("(%" PRIu64 " infeasible instances exercised)\n", infeasible);
   }
   return 0;

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "gp/batched.hpp"
 #include "gp/compiled.hpp"
 #include "gp/expr.hpp"
 #include "gp/problem.hpp"
@@ -550,181 +549,6 @@ TEST_P(ScalarBoundGp, OptimumEqualsBound) {
 INSTANTIATE_TEST_SUITE_P(Bounds, ScalarBoundGp,
                          ::testing::Values(0.01, 0.5, 1.0, 3.0, 42.0,
                                            1000.0));
-
-// ---------------------------------------------------------------------------
-// Batched kernel (gp/batched.hpp + GpSolver::solve_batch)
-// ---------------------------------------------------------------------------
-
-/// K structurally identical prepared models sharing ONE Structure object
-/// (clone + patch, the model-cache hit path), one per problem.
-std::vector<CompiledModel> shared_structure_models(
-    const std::vector<GpProblem>& probs, double box) {
-  std::vector<CompiledModel> models;
-  models.reserve(probs.size());
-  CompiledModel base = CompiledModel::build(probs[0], box);
-  for (const GpProblem& p : probs) {
-    CompiledModel m = base;  // shares structure
-    m.patch_coefficients(p, box);
-    models.push_back(std::move(m));
-  }
-  return models;
-}
-
-/// Batched-vs-scalar per-lane agreement across batch widths, including a
-/// ragged width (7) and a K=1 singleton (which takes the scalar
-/// fallback). The contract is tolerance-level: same status, same
-/// optimum to solver tolerance — not bytes.
-class BatchedWidth : public ::testing::TestWithParam<int> {};
-
-TEST_P(BatchedWidth, PerLaneAgreementWithScalar) {
-  const int k = GetParam();
-  SolverOptions opts;
-  std::vector<GpProblem> probs;
-  for (int i = 0; i < k; ++i) {
-    probs.push_back(salted_problem(0.8 + 0.45 * i));
-  }
-  const std::vector<CompiledModel> models =
-      shared_structure_models(probs, opts.variable_box);
-  std::vector<BatchLane> lanes(probs.size());
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    lanes[i].problem = &probs[i];
-    lanes[i].model = &models[i];
-  }
-  const GpSolver solver(opts);
-  const std::vector<GpSolution> batch = solver.solve_batch(lanes);
-  ASSERT_EQ(batch.size(), probs.size());
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    const GpSolution scalar = solver.solve(probs[i], models[i]);
-    ASSERT_EQ(batch[i].status, scalar.status) << "lane " << i;
-    ASSERT_TRUE(batch[i].ok()) << "lane " << i;
-    for (std::size_t j = 0; j < scalar.x.size(); ++j) {
-      EXPECT_NEAR(batch[i].x[j], scalar.x[j],
-                  1e-5 * std::max(1.0, std::fabs(scalar.x[j])))
-          << "lane " << i << " var " << j;
-    }
-    EXPECT_NEAR(batch[i].objective, scalar.objective,
-                1e-5 * std::max(1.0, std::fabs(scalar.objective)));
-    EXPECT_LE(batch[i].max_violation, 1e-8);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, BatchedWidth,
-                         ::testing::Values(1, 2, 4, 7, 16));
-
-TEST(BatchedSolve, EarlyExitLanesRetireWithoutPerturbingOthers) {
-  // One warm lane (feasible seed: skips phase I, converges in few
-  // rounds, retires while the cold lanes are still centering) mixed
-  // with cold lanes. Every lane must still match its scalar solve.
-  SolverOptions opts;
-  std::vector<GpProblem> probs;
-  for (int i = 0; i < 5; ++i) probs.push_back(salted_problem(0.7 + 0.6 * i));
-  const std::vector<CompiledModel> models =
-      shared_structure_models(probs, opts.variable_box);
-  const GpSolver solver(opts);
-  const GpSolution warm_seed = solver.solve(probs[2], models[2]);
-  ASSERT_TRUE(warm_seed.ok());
-
-  std::vector<BatchLane> lanes(probs.size());
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    lanes[i].problem = &probs[i];
-    lanes[i].model = &models[i];
-  }
-  // The feasible seed plus a moderately raised opening shortens lane 2's
-  // t-ladder, so it retires while the cold lanes are still climbing —
-  // exercising the early-retire/compaction path. (t0 far beyond ~100
-  // backfires on a problem this small: the high-t opening grinds, per
-  // the SolverOptions::warm_gap note.)
-  lanes[2].x0 = &warm_seed.x;
-  lanes[2].t0 = 100.0;
-  const std::vector<GpSolution> batch = solver.solve_batch(lanes);
-  SolverOptions warm_opts = opts;
-  warm_opts.t0 = 100.0;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    const GpSolution scalar =
-        i == 2 ? GpSolver(warm_opts).solve(probs[i], models[i], warm_seed.x)
-               : solver.solve(probs[i], models[i]);
-    ASSERT_EQ(batch[i].status, scalar.status) << "lane " << i;
-    for (std::size_t j = 0; j < scalar.x.size(); ++j) {
-      EXPECT_NEAR(batch[i].x[j], scalar.x[j],
-                  1e-5 * std::max(1.0, std::fabs(scalar.x[j])));
-    }
-  }
-  // The warm lane really did retire early: its t-ladder is structurally
-  // shorter than a cold lane's. (Newton counts are only
-  // tolerance-comparable across kernels, so the stage count is the
-  // robust witness.)
-  EXPECT_LT(batch[2].outer_iterations, batch[0].outer_iterations);
-}
-
-TEST(BatchedSolve, LaneResultsIndependentOfGroupFormationBitwise) {
-  // The same instance solved in batches of different widths, positions
-  // and companions must produce bit-identical results: per-lane
-  // arithmetic never crosses lanes, so group formation order cannot
-  // leak into a lane's answer.
-  SolverOptions opts;
-  std::vector<GpProblem> probs;
-  for (int i = 0; i < 7; ++i) probs.push_back(salted_problem(0.9 + 0.37 * i));
-  const std::vector<CompiledModel> models =
-      shared_structure_models(probs, opts.variable_box);
-  const GpSolver solver(opts);
-  auto lane = [&](std::size_t i) {
-    BatchLane l;
-    l.problem = &probs[i];
-    l.model = &models[i];
-    return l;
-  };
-
-  // Probe instance 0 in three formations.
-  const std::vector<GpSolution> a =
-      solver.solve_batch({lane(0), lane(1)});
-  const std::vector<GpSolution> b =
-      solver.solve_batch({lane(3), lane(0), lane(4), lane(5), lane(6)});
-  const std::vector<GpSolution> c = solver.solve_batch(
-      {lane(6), lane(5), lane(4), lane(3), lane(2), lane(1), lane(0)});
-  ASSERT_EQ(a[0].status, b[1].status);
-  ASSERT_EQ(a[0].status, c[6].status);
-  EXPECT_EQ(a[0].x, b[1].x);
-  EXPECT_EQ(a[0].x, c[6].x);
-  EXPECT_EQ(a[0].objective, b[1].objective);
-  EXPECT_EQ(a[0].objective, c[6].objective);
-  EXPECT_EQ(a[0].newton_iterations, b[1].newton_iterations);
-  EXPECT_EQ(a[0].newton_iterations, c[6].newton_iterations);
-  EXPECT_EQ(a[0].outer_iterations, c[6].outer_iterations);
-  // And instance 1, which sat at opposite ends of two batches.
-  EXPECT_EQ(a[1].x, c[5].x);
-  EXPECT_EQ(a[1].newton_iterations, c[5].newton_iterations);
-}
-
-TEST(BatchedSolve, MisgroupedBatchFallsBackToScalarAndCounts) {
-  // Structurally identical problems but *independently built* models:
-  // no shared Structure object, so the batch must refuse (counting a
-  // misgrouping) and fall back to per-lane scalar solves bit-exactly.
-  SolverOptions opts;
-  const GpProblem p0 = salted_problem(1.1);
-  const GpProblem p1 = salted_problem(2.3);
-  const CompiledModel m0 = CompiledModel::build(p0, opts.variable_box);
-  const CompiledModel m1 = CompiledModel::build(p1, opts.variable_box);
-  ASSERT_FALSE(m0.gp().same_structure(m1.gp()));
-
-  const std::int64_t misgroupings0 = total_batched_misgroupings();
-  const std::int64_t solves0 = total_batched_solves();
-  const GpSolver solver(opts);
-  std::vector<BatchLane> lanes(2);
-  lanes[0].problem = &p0;
-  lanes[0].model = &m0;
-  lanes[1].problem = &p1;
-  lanes[1].model = &m1;
-  const std::vector<GpSolution> batch = solver.solve_batch(lanes);
-  EXPECT_EQ(total_batched_misgroupings(), misgroupings0 + 1);
-  EXPECT_EQ(total_batched_solves(), solves0);  // fell back, not batched
-
-  const GpSolution s0 = solver.solve(p0, m0);
-  const GpSolution s1 = solver.solve(p1, m1);
-  EXPECT_EQ(batch[0].x, s0.x);  // scalar fallback is bit-identical
-  EXPECT_EQ(batch[1].x, s1.x);
-  EXPECT_EQ(batch[0].newton_iterations, s0.newton_iterations);
-  EXPECT_EQ(batch[1].newton_iterations, s1.newton_iterations);
-}
 
 }  // namespace
 }  // namespace mfa::gp

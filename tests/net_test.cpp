@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,6 +74,21 @@ TEST(RequestParser, ResetReplaysPipelinedBytes) {
   ASSERT_EQ(parser.state(), RequestParser::State::kComplete);
   EXPECT_EQ(parser.request().target, "/second");
   EXPECT_FALSE(parser.request().keep_alive());
+}
+
+TEST(RequestParser, FeedWhileCompleteKeepsPipelinedBytes) {
+  // The server's read loop keeps feeding recv chunks until the socket
+  // is drained, so bytes of the next request can arrive while the
+  // current one is complete but not yet served. They must be kept.
+  RequestParser parser;
+  ASSERT_EQ(parser.feed("GET /first HTTP/1.1\r\n\r\n"),
+            RequestParser::State::kComplete);
+  EXPECT_EQ(parser.feed("GET /second HTTP/1.1\r\n\r\n"),
+            RequestParser::State::kComplete);
+  EXPECT_EQ(parser.request().target, "/first");
+  parser.reset();
+  ASSERT_EQ(parser.state(), RequestParser::State::kComplete);
+  EXPECT_EQ(parser.request().target, "/second");
 }
 
 TEST(RequestParser, MalformedRequestLineIs400) {
@@ -224,6 +240,72 @@ TEST(HttpServer, PipelinedRequestsAnswerInOrder) {
   EXPECT_NE(second, std::string::npos) << reply;
   EXPECT_LT(first, second);
   server.stop();
+}
+
+TEST(HttpServer, PipelinedRequestsSpanningReadsAreAllAnswered) {
+  // A first request parks the single server thread in its handler
+  // while two more requests (together over the server's 16 KiB recv
+  // chunk) are written separately. Once released, one read loop drains
+  // both: the first chunk completes /small and starts /big, the next
+  // chunk carries the rest of /big.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  ServerConfig config;
+  HttpServer server(config, [&](const HttpRequest& request) {
+    if (request.target == "/block") {
+      entered.set_value();
+      released.wait();
+    }
+    HttpResponse response;
+    response.body = request.target + "\n";
+    return response;
+  });
+  ASSERT_TRUE(server.start().is_ok());
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const auto send_all = [fd](const std::string& bytes) {
+    return ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  };
+  ASSERT_TRUE(send_all("GET /block HTTP/1.1\r\n\r\n"));
+  entered.get_future().wait();
+  const std::string small = "GET /small HTTP/1.1\r\n\r\n";
+  const std::string body(20 * 1024, 'x');
+  const std::string big = "POST /big HTTP/1.1\r\nContent-Length: " +
+                          std::to_string(body.size()) +
+                          "\r\nConnection: close\r\n\r\n" + body;
+  ASSERT_GT(small.size() + big.size(), 16u * 1024u);
+  const bool sent = send_all(small) && send_all(big);
+  release.set_value();
+  ASSERT_TRUE(sent);
+
+  std::string reply;
+  char buf[4096];
+  while (true) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  server.stop();
+  const std::size_t block = reply.find("/block\n");
+  const std::size_t first = reply.find("/small\n");
+  const std::size_t second = reply.find("/big\n");
+  ASSERT_NE(block, std::string::npos) << reply;
+  ASSERT_NE(first, std::string::npos) << reply;
+  ASSERT_NE(second, std::string::npos) << reply;
+  EXPECT_LT(block, first);
+  EXPECT_LT(first, second);
 }
 
 /// Api fixture: a 2-shard router over a small pool, no sockets.
