@@ -346,6 +346,11 @@ core::Fingerprint greedy_cache_key(const core::Problem& problem,
   return key;
 }
 
+double escalation_ceiling(const core::Problem& problem,
+                          const GreedyOptions& options) {
+  return std::min(problem.resource_fraction + options.t_max, 1.0);
+}
+
 StatusOr<GreedyResult> GreedyAllocator::allocate(
     const Problem& problem, const std::vector<int>& totals) const {
   MFA_ASSERT(totals.size() == problem.num_kernels());
@@ -353,11 +358,9 @@ StatusOr<GreedyResult> GreedyAllocator::allocate(
     MFA_ASSERT_MSG(n >= 1, "allocator needs at least one CU per kernel");
   }
 
-  // Memoized replay: identical (problem, totals, options) runs repeat
-  // constantly — every portfolio lane places the same discretized
-  // totals, and service churn revisits workloads — so a hit skips the
-  // whole escalation loop. The memo stores no Problem reference; the
-  // allocation is rebuilt against *this* problem.
+  // Memoized replay: a hit on an identical (problem, totals, options)
+  // run skips the whole escalation loop. The memo stores no Problem
+  // reference; the allocation is rebuilt against *this* problem.
   core::Fingerprint memo_key;
   if (options_.cache != nullptr) {
     memo_key = greedy_cache_key(problem, totals, options_);
@@ -367,7 +370,7 @@ StatusOr<GreedyResult> GreedyAllocator::allocate(
   }
 
   const double r0 = problem.resource_fraction;
-  const double r_max = std::min(r0 + options_.t_max, 1.0);
+  const double r_max = escalation_ceiling(problem, options_);
   const double delta = options_.delta > 0.0 ? options_.delta : 1.0;
 
   double rc = std::min(r0, 1.0);

@@ -50,8 +50,8 @@ namespace mfa::alloc {
 /// Memoized outcome of one successful greedy run: the placement matrix
 /// plus the scalar diagnostics, with no reference back to the Problem —
 /// a hit rebuilds the Allocation against the *caller's* Problem object,
-/// so entries can be shared across equal problem instances (portfolio
-/// lanes, repeated service events) regardless of object identity.
+/// so entries can be shared across equal problem instances regardless
+/// of object identity.
 struct GreedyMemo {
   std::vector<int> cu;  ///< n_{k,f}, row-major [kernel][fpga]
   double used_fraction = 0.0;
@@ -64,7 +64,9 @@ struct GreedyMemo {
 /// relaxation cache: a hit is exactly what the thread would have
 /// computed itself. Only successes are stored — infeasibility depends on
 /// nothing cacheable beyond the same key, but it is rare and cheap to
-/// re-prove relative to the placement runs.
+/// re-prove relative to the placement runs. Not wired on the serving
+/// path: it hits on a few percent of lookups there, and the default
+/// configuration never evicts. perfbench's traced replay uses it.
 using GreedyCache = core::ShardedCache<GreedyMemo>;
 
 struct GreedyOptions {
@@ -86,6 +88,14 @@ struct GreedyOptions {
 core::Fingerprint greedy_cache_key(const core::Problem& problem,
                                    const std::vector<int>& totals,
                                    const GreedyOptions& options);
+
+/// Algorithm 1's escalation ceiling min(R + T, 1): the last R_c the
+/// retry loop may reach. R_c starts at min(R, 1) and climbs by Δ up to
+/// this value, so two runs on the same problem with equal Δ and equal
+/// ceilings walk the same R_c schedule and place identically, whatever
+/// their T. At R = 1 every T gives the same ceiling.
+double escalation_ceiling(const core::Problem& problem,
+                          const GreedyOptions& options);
 
 struct GreedyResult {
   core::Allocation allocation;

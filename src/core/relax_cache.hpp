@@ -1,8 +1,9 @@
 // Thread-safe memoization cache for continuous-relaxation solves.
 //
 // Sweeps and solver portfolios hammer thousands of *identical* relaxation
-// subproblems: every GP+A lane of a portfolio solves the same root
-// relaxation and walks the same branch-and-bound tree, and batch grids
+// subproblems: distinct GP+A lanes of a portfolio (R < 1; equal-ceiling
+// lanes run once) solve the same root relaxation and walk the same
+// branch-and-bound tree, and batch grids
 // repeat instances across methods. The cache memoizes those solves by a
 // 128-bit fingerprint of everything the result depends on (problem,
 // bounds, warm-start hint, algorithm tag — see core/fingerprint.hpp).

@@ -178,19 +178,49 @@ SolveResult Portfolio::solve(const SolveRequest& request) const {
           ? *options.context->budget
           : local;
 
+  // Equal-ceiling GP+A lanes are one computation: every kGpa lane copies
+  // options.gpa and sets only greedy.t_max, which Algorithm 1 reads only
+  // through its escalation ceiling min(R + T, 1). Each distinct lane
+  // runs once; a duplicate lane (source[i] != i) takes a copy of its
+  // earlier representative's run. At R = 1 every T shares one ceiling.
+  std::vector<std::size_t> source(lanes.size());
+  std::vector<std::size_t> distinct;
+  std::vector<double> ceiling(lanes.size(), 0.0);
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    source[i] = i;
+    if (lanes[i].kind == StrategySpec::Kind::kGpa) {
+      alloc::GreedyOptions greedy = options.gpa.greedy;
+      greedy.t_max = lanes[i].t_max;
+      ceiling[i] = alloc::escalation_ceiling(problem, greedy);
+      for (std::size_t j : distinct) {
+        if (lanes[j].kind == StrategySpec::Kind::kGpa &&
+            ceiling[j] == ceiling[i]) {
+          source[i] = j;
+          break;
+        }
+      }
+    }
+    if (source[i] == i) distinct.push_back(i);
+  }
+
   std::vector<LaneRun> runs(lanes.size());
   ThreadPool* workers = pool();
   if (workers == nullptr && options.context != nullptr) {
     workers = options.context->pool;  // context as the pool wiring point
   }
-  if (workers != nullptr && lanes.size() > 1) {
-    workers->parallel_for(lanes.size(), [&](std::size_t i) {
-      runs[i] = run_lane(lanes[i], problem, options, request.warm, shared);
-    });
+  auto run = [&](std::size_t i) {
+    runs[i] = run_lane(lanes[i], problem, options, request.warm, shared);
+  };
+  if (workers != nullptr && distinct.size() > 1) {
+    workers->parallel_for(distinct.size(),
+                          [&](std::size_t d) { run(distinct[d]); });
   } else {
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      runs[i] = run_lane(lanes[i], problem, options, request.warm, shared);
-    }
+    for (std::size_t i : distinct) run(i);
+  }
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    if (source[i] == i) continue;
+    runs[i] = runs[source[i]];
+    runs[i].outcome.strategy = lanes[i].name();
   }
 
   // Deterministic aggregation: best goal, ties to the earliest lane.

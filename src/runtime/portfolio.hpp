@@ -7,7 +7,9 @@
 // poll it between packings, so the first lane to *prove* optimality on
 // the true objective can expire() the budget and stop the others at
 // their incumbents. The returned SolveResult carries the best
-// α·II + β·φ incumbent plus full per-lane provenance.
+// α·II + β·φ incumbent plus full per-lane provenance. GP+A lanes whose
+// escalation ceilings min(R + T, 1) are equal do identical work, so each
+// such group runs once and every member reports the shared outcome.
 //
 // Determinism: the winner is chosen by (goal, lane index), never by
 // completion time, so with node-only budgets the result is identical

@@ -52,7 +52,9 @@ struct StrategySpec {
 /// budget, with what per-solver knobs.
 struct PortfolioOptions {
   /// One kGpa lane per entry (Fig. 2 shows II vs T is not monotone, so
-  /// racing a few deviations is cheap insurance).
+  /// racing a few deviations is cheap insurance). Lanes whose escalation
+  /// ceilings min(R + T, 1) are equal are one computation and run once
+  /// (alloc::escalation_ceiling); each still reports its own outcome.
   std::vector<double> gpa_t_max = {0.0, 0.05, 0.10};
   bool run_exact = true;
   bool run_naive = false;
@@ -68,11 +70,12 @@ struct PortfolioOptions {
 
   /// Shared solver resources — caches, an optional caller-managed
   /// budget, and the worker pool lanes race on — in one wiring point
-  /// (see core/solver_context.hpp). Every lane solves the identical
-  /// root relaxation and walks the identical discretization tree, so
-  /// with the context's caches the work is done once and reused; keys
-  /// capture every solve input, so hits are bit-identical to solving
-  /// and determinism across thread counts is preserved. When
+  /// (see core/solver_context.hpp). Equal-ceiling GP+A lanes already run
+  /// once; distinct GP+A lanes (R < 1) still solve the identical root
+  /// relaxation and walk the identical discretization tree, so with the
+  /// context's caches that work is done once and reused; keys capture
+  /// every solve input, so hits are bit-identical to solving and
+  /// determinism across thread counts is preserved. When
   /// context->budget is set, solve() charges lanes against it instead
   /// of constructing a per-solve budget. Not owned; each cache it sets
   /// overrides the corresponding field of `gpa.context`.

@@ -50,12 +50,6 @@ AllocServer::AllocServer(core::Platform platform, ServerOptions options,
   ctx_.relax_cache = relax_cache_;
   ctx_.model_cache = model_cache_;
   options_.portfolio.context = &ctx_;
-  // Greedy placements are memoized server-wide: every GP+A lane of every
-  // event consults one cache (the portfolio copies these options, so the
-  // pointer must be set before the Portfolio is constructed).
-  if (options_.portfolio.gpa.greedy.cache == nullptr) {
-    options_.portfolio.gpa.greedy.cache = &greedy_cache_;
-  }
   portfolio_ = std::make_unique<runtime::Portfolio>(options_.portfolio,
                                                     pool_.get());
 }
@@ -318,9 +312,8 @@ std::optional<core::RelaxedSolution> AllocServer::make_warm(
 
 void AllocServer::resolve_workload(EventOutcome& outcome) {
   // Sample the compilation/cache counters around the solve so the
-  // outcome records what this event actually paid for (with sequential
-  // lanes — the default — these deltas are deterministic; see
-  // EventOutcome).
+  // outcome records what this event actually paid for (deterministic
+  // whenever one lane runs at a time; see CacheCounters).
   const std::int64_t compiles0 = gp::total_structure_compiles();
   const std::int64_t patches0 = gp::total_coefficient_patches();
   const auto models0 = model_cache_->stats();
@@ -661,8 +654,13 @@ EventOutcome AllocServer::process(Event event) {
   }
 
   // ---- Periodic durable snapshot (skipped while replaying: the
-  // snapshot that scheduled those events may already be newer).
-  if (wal_ && !replaying_ && options_.snapshot_every > 0 &&
+  // snapshot that scheduled those events may already be newer). Also
+  // skipped while the last re-solve failed: the incumbent is then stale,
+  // its ledger does not cover the live set, and recovery could not
+  // re-derive it; recovery replays from the previous snapshot instead.
+  const bool stale_incumbent = !pipelines_.empty() && last_ii_ <= 0.0;
+  if (wal_ && !replaying_ && !stale_incumbent &&
+      options_.snapshot_every > 0 &&
       sequence_ % options_.snapshot_every == 0) {
     WalSnapshot snapshot;
     snapshot.sequence = sequence_;

@@ -337,11 +337,6 @@ class AllocServer {
   core::RelaxationCache cache_;
   // mfa-lint: allow(mutex-hygiene) ShardedCache, internally synchronized
   core::CompiledModelCache models_;
-  /// Memoized greedy placements (alloc/greedy.hpp): service churn
-  /// re-places identical (problem, totals) pairs across events and
-  /// portfolio lanes, so placements are computed once and replayed.
-  // mfa-lint: allow(mutex-hygiene) ShardedCache, internally synchronized
-  alloc::GreedyCache greedy_cache_;
   /// Effective caches: ServerOptions::context overrides the owned ones.
   // mfa-lint: allow(mutex-hygiene) set in ctor, immutable afterwards
   core::RelaxationCache* relax_cache_ = nullptr;

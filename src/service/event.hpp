@@ -136,10 +136,13 @@ struct SolveCounters {
 };
 
 /// The cache half of an event's outcome: what the solve paid for. These
-/// counters are deterministic with sequential portfolio lanes
-/// (solver_threads = 1, the default): racing lanes may duplicate a miss
-/// before the first writer publishes, which makes them timing-dependent
-/// at higher thread counts (like `seconds`, unlike the solve outputs).
+/// counters are deterministic whenever the portfolio runs one lane at a
+/// time: with sequential lanes (solver_threads = 1, the default), and at
+/// any thread count when the GP+A lanes merge into one (equal escalation
+/// ceilings, as at the service's R = 1) and no exact lane runs. Racing
+/// distinct lanes may duplicate a miss before the first writer
+/// publishes, which makes them timing-dependent (like `seconds`, unlike
+/// the solve outputs).
 struct CacheCounters {
   /// Delta class the event applied to the composite problem.
   CompositeDelta delta = CompositeDelta::kNone;
@@ -152,8 +155,9 @@ struct CacheCounters {
   /// Compiled-model cache hits/misses during the event's solve.
   std::uint64_t model_hits = 0;
   std::uint64_t model_misses = 0;
-  /// Relaxation-cache hits during the event's solve (lanes 2..n of the
-  /// portfolio replaying lane 1's root).
+  /// Relaxation-cache hits during the event's solve (branch-and-bound
+  /// nodes seen before, and distinct GP+A lanes replaying lane 1's
+  /// root and tree).
   std::uint64_t relax_hits = 0;
 };
 

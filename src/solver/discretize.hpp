@@ -56,8 +56,8 @@ struct DiscretizeOptions {
   /// equivalence across seeds).
   bool patched_bounds = true;
   /// Optional shared memoization of node relaxations, keyed by problem
-  /// fingerprint × bounds × warm hint (core/relax_cache.hpp). Portfolio
-  /// lanes and duplicate batch instances walk identical trees, so a
+  /// fingerprint × bounds × warm hint (core/relax_cache.hpp). Distinct
+  /// GP+A lanes and duplicate batch instances walk identical trees, so a
   /// shared cache collapses their node solves to lookups. Not owned;
   /// may be used from several threads concurrently.
   core::RelaxationCache* cache = nullptr;

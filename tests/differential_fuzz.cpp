@@ -70,6 +70,7 @@
 #include "solver/exact.hpp"
 #include "solver/naive.hpp"
 #include "solver/packing.hpp"
+#include "testutil.hpp"
 
 namespace {
 
@@ -82,21 +83,6 @@ struct Options {
   bool stability_only = false;
   bool patched_bounds_only = false;
 };
-
-/// Scenario shape small enough for the naive oracle to *prove* optima
-/// within its node budget on every seed.
-mfa::scenario::ScenarioSpec fuzz_spec() {
-  mfa::scenario::ScenarioSpec spec;
-  spec.min_kernels = 2;
-  spec.max_kernels = 4;
-  spec.min_fpgas = 2;
-  spec.max_fpgas = 3;
-  spec.max_classes = 2;
-  spec.class_skew = 0.4;
-  spec.tightness = 0.8;
-  spec.max_cu_per_kernel = 3;
-  return spec;
-}
 
 void report_failure(std::uint64_t seed, const mfa::core::Problem& problem,
                     const Options& opt, const char* what) {
@@ -559,7 +545,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const mfa::scenario::ScenarioSpec spec = fuzz_spec();
+  const mfa::scenario::ScenarioSpec spec = mfa::test::fuzz_spec();
   std::uint64_t checked = 0;
   std::uint64_t infeasible = 0;
   for (std::uint64_t seed = opt.start; seed < opt.start + opt.count; ++seed) {

@@ -8,14 +8,18 @@
 #include <limits>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc/gpa.hpp"
+#include "core/relax_cache.hpp"
 #include "hls/paper.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/portfolio.hpp"
 #include "runtime/sweep.hpp"
 #include "runtime/thread_pool.hpp"
+#include "scenario/generate.hpp"
 #include "testutil.hpp"
 
 namespace mfa::runtime {
@@ -242,6 +246,123 @@ TEST(Portfolio, DeadlineStopsExactSolver) {
   EXPECT_FALSE(r.proved_optimal);
 }
 
+TEST(Portfolio, GpaLanesMatchSeparateLaneSolves) {
+  // Independent reference for the GP+A-only portfolio the service runs:
+  // each lane's GpaSolver solved on its own with no context, the winner
+  // being the earliest lane with the lowest goal. At R = 1 all three
+  // lanes share one escalation ceiling, at R = 0.95 the last two do, at
+  // R = 0.7 none do; the result must not tell merged lanes apart.
+  PortfolioOptions options;
+  options.run_exact = false;
+  int compared = 0;
+  int t_changed_goal = 0;
+  for (double r : {0.7, 0.95, 1.0}) {
+    scenario::ScenarioSpec spec = test::fuzz_spec();
+    spec.tightness = r;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      SCOPED_TRACE("R=" + std::to_string(r) + " seed " +
+                   std::to_string(seed));
+      const core::Problem problem = scenario::generate(spec, seed);
+      if (!problem.validate().is_ok()) continue;
+
+      std::vector<StatusOr<alloc::GpaResult>> ref;
+      std::vector<double> ref_goal;
+      std::size_t best = options.gpa_t_max.size();
+      for (double t : options.gpa_t_max) {
+        alloc::GpaOptions o = options.gpa;
+        o.greedy.t_max = t;
+        ref.push_back(alloc::GpaSolver(o).solve(problem));
+        ref_goal.push_back(
+            ref.back().is_ok()
+                ? problem.alpha * ref.back().value().allocation.ii() +
+                      problem.beta * ref.back().value().allocation.phi()
+                : std::numeric_limits<double>::infinity());
+        const std::size_t i = ref.size() - 1;
+        if (ref[i].is_ok() &&
+            (best == options.gpa_t_max.size() ||
+             ref_goal[i] < ref_goal[best])) {
+          best = i;
+        }
+      }
+      if (ref_goal.front() != ref_goal.back()) ++t_changed_goal;
+
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        const SolveResult got = Portfolio(options, threads).solve(problem);
+        ++compared;
+        ASSERT_EQ(got.lanes.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          EXPECT_EQ(got.lanes[i].strategy,
+                    StrategySpec::gpa(options.gpa_t_max[i]).name());
+          EXPECT_EQ(got.lanes[i].status.code(), ref[i].status().code());
+          EXPECT_EQ(got.lanes[i].goal, ref_goal[i]);
+          EXPECT_EQ(got.lanes[i].nodes,
+                    ref[i].is_ok() ? ref[i].value().discretize_nodes : 0);
+        }
+        if (best == ref.size()) {
+          EXPECT_FALSE(got.is_ok());
+          EXPECT_FALSE(got.allocation.has_value());
+          continue;
+        }
+        ASSERT_TRUE(got.is_ok());
+        const alloc::GpaResult& want = ref[best].value();
+        EXPECT_EQ(got.winner, got.lanes[best].strategy);
+        EXPECT_EQ(got.goal, ref_goal[best]);
+        ASSERT_TRUE(got.allocation.has_value());
+        for (std::size_t k = 0; k < problem.num_kernels(); ++k) {
+          for (int f = 0; f < problem.num_fpgas(); ++f) {
+            EXPECT_EQ(got.allocation->cu(k, f), want.allocation.cu(k, f));
+          }
+        }
+        ASSERT_TRUE(got.relaxed.has_value());
+        EXPECT_EQ(got.relaxed->ii, want.relaxed_ii);
+        EXPECT_EQ(got.relaxed->n_hat, want.relaxed_n);
+      }
+    }
+  }
+  EXPECT_GT(compared, 150);
+  // At R < 1 the deviation T is live on some instance, so the reference
+  // really distinguishes lanes that must not merge.
+  EXPECT_GT(t_changed_goal, 0);
+}
+
+TEST(Portfolio, EqualCeilingLanesSolveOnce) {
+  // At R = 1 every T has the ceiling min(R + T, 1) = 1: the three GP+A
+  // lanes are one computation, so a fresh relaxation cache sees exactly
+  // the lookups of a single-lane portfolio and no lane replays another.
+  core::Problem problem = test::tiny_problem();
+  problem.resource_fraction = 1.0;
+  auto solve = [&problem](std::vector<double> t_max,
+                          core::RelaxationCache& cache) {
+    core::SolverContext ctx;
+    ctx.relax_cache = &cache;
+    PortfolioOptions o;
+    o.gpa_t_max = std::move(t_max);
+    o.run_exact = false;
+    o.context = &ctx;
+    return Portfolio(o, 1).solve(problem);
+  };
+  core::RelaxationCache three_cache;
+  core::RelaxationCache one_cache;
+  const SolveResult three = solve({0.0, 0.05, 0.10}, three_cache);
+  const SolveResult one = solve({0.0}, one_cache);
+  ASSERT_TRUE(three.is_ok());
+  ASSERT_TRUE(one.is_ok());
+  EXPECT_EQ(three_cache.stats().hits, 0u);
+  EXPECT_GT(one_cache.stats().misses, 0u);
+  EXPECT_EQ(three_cache.stats().misses, one_cache.stats().misses);
+
+  // Each merged lane still reports its own name and the shared run.
+  ASSERT_EQ(three.lanes.size(), 3u);
+  EXPECT_EQ(three.lanes[2].strategy, "gpa(T=0.10)");
+  for (const StrategyOutcome& lane : three.lanes) {
+    EXPECT_EQ(lane.goal, one.goal);
+    EXPECT_EQ(lane.nodes, one.nodes);
+  }
+  EXPECT_EQ(three.winner, "gpa(T=0.00)");
+  EXPECT_EQ(three.nodes, 3 * one.nodes);
+}
+
 TEST(BatchRunner, ResultsAlignWithInputOrder) {
   std::vector<core::Problem> grid;
   for (double rc : {0.9, 0.6, 0.8, 0.7}) {
@@ -376,7 +497,8 @@ TEST(BatchRunner, ExternalCacheIsPopulatedAndReused) {
   const std::vector<SolveResult> first = BatchRunner(batch).solve_all(grid);
   const auto after_first = cache.stats();
   EXPECT_GT(after_first.entries, 0u);
-  // Three GP+A lanes per instance walk identical trees → intra-batch hits.
+  // At R < 1 the three GP+A lanes have distinct escalation ceilings but
+  // walk identical discretization trees → intra-batch hits.
   EXPECT_GT(after_first.hits, 0u);
 
   // A second batch over the same grid is served from the cache: no new

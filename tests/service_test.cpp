@@ -1,13 +1,16 @@
 // Allocation-service coverage: trace generator determinism and JSON
 // round-trips, replay-log determinism (the `serve --trace` contract),
 // warm == cold solution parity on every event, cache-eviction
-// transparency, event-queue MPMC behavior, and the event error paths
-// (unknown ids, duplicates, empty pools).
+// transparency, event-queue MPMC behavior, the event error paths
+// (unknown ids, duplicates, empty pools), and WAL recovery when a
+// snapshot point falls on an unsolved workload.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <optional>
@@ -717,6 +720,62 @@ TEST(AllocServer, LifecycleAndIncumbentTracking) {
   EXPECT_EQ(removed.active_pipelines, 0u);
   EXPECT_FALSE(server.incumbent().has_value());
   EXPECT_EQ(removed.solve.goal, 0.0);
+}
+
+TEST(AllocServer, RecoverWhenASnapshotPointFallsOnAnUnsolvedWorkload) {
+  // An arrival the pool cannot place leaves the previous incumbent
+  // standing over a live set it does not cover. A snapshot of that state
+  // would pair the live set with the stale ledger, which recovery cannot
+  // re-derive; the server skips it and recovery replays from the
+  // previous snapshot instead.
+  namespace fs = std::filesystem;
+  struct TempDir {
+    fs::path path = fs::temp_directory_path() /
+                    ("mfa_service_test_unsolved_" +
+                     std::to_string(::getpid()));
+    TempDir() { fs::remove_all(path); }
+    ~TempDir() {
+      std::error_code ec;
+      fs::remove_all(path, ec);
+    }
+  } const dir;
+  ServerOptions options;
+  options.wal_dir = dir.path.string();
+  options.wal_fsync = false;
+  options.snapshot_every = 1;  // every event is a snapshot point
+  const core::Platform platform{"pool", 2};
+
+  PipelineSpec small;
+  small.id = "small";
+  small.app.kernels = {test::make_kernel("a", 8.0, 10.0, 20.0, 5.0)};
+  // Three kernels of 60% BRAM each: one CU of each fits some FPGA, but
+  // the two FPGAs cannot hold all three.
+  PipelineSpec wide;
+  wide.id = "wide";
+  for (const char* name : {"x", "y", "z"}) {
+    wide.app.kernels.push_back(test::make_kernel(name, 5.0, 60.0, 5.0, 1.0));
+  }
+
+  std::string served;
+  {
+    auto server = AllocServer::open(platform, options);
+    ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+    ASSERT_TRUE(server.value()->apply(Event::add(small)).solve_status.is_ok());
+    const EventOutcome unplaced = server.value()->apply(Event::add(wide));
+    ASSERT_TRUE(unplaced.status.is_ok());
+    ASSERT_FALSE(unplaced.solve_status.is_ok());
+    ASSERT_TRUE(server.value()->incumbent().has_value());
+    served = io::to_json(*server.value()->incumbent()->allocation).dump();
+    server.value()->stop();
+  }
+
+  auto recovered = AllocServer::recover(options);
+  ASSERT_TRUE(recovered.is_ok()) << recovered.status().to_string();
+  EXPECT_EQ(recovered.value()->active_pipelines(), 2u);
+  ASSERT_TRUE(recovered.value()->incumbent().has_value());
+  EXPECT_EQ(io::to_json(*recovered.value()->incumbent()->allocation).dump(),
+            served);
+  recovered.value()->stop();
 }
 
 TEST(AllocServer, MpmcSubmissionProcessesEveryEventExactlyOnce) {

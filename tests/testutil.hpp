@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/problem.hpp"
+#include "scenario/generate.hpp"
 
 namespace mfa::test {
 
@@ -77,6 +78,21 @@ inline core::Problem random_problem(std::mt19937& rng,
     p.app.kernels.push_back(kern);
   }
   return p;
+}
+
+/// Scenario shape small enough for the naive oracle to *prove* optima
+/// within its node budget on every seed (differential_fuzz's corpus).
+inline scenario::ScenarioSpec fuzz_spec() {
+  scenario::ScenarioSpec spec;
+  spec.min_kernels = 2;
+  spec.max_kernels = 4;
+  spec.min_fpgas = 2;
+  spec.max_fpgas = 3;
+  spec.max_classes = 2;
+  spec.class_skew = 0.4;
+  spec.tightness = 0.8;
+  spec.max_cu_per_kernel = 3;
+  return spec;
 }
 
 }  // namespace mfa::test
