@@ -264,9 +264,17 @@ void print_mode_table(const ReplayStats& cold, const ReplayStats& warm,
         wal.p99_event_ms);
   row_f("max event latency (ms)", cold.max_event_ms, warm.max_event_ms,
         wal.max_event_ms);
-  row_i("warm-path allocations", static_cast<std::int64_t>(cold.warm_allocs),
-        static_cast<std::int64_t>(warm.warm_allocs),
-        static_cast<std::int64_t>(wal.warm_allocs));
+  if (mfa::alloc_counting_linked()) {
+    row_i("warm-path allocations",
+          static_cast<std::int64_t>(cold.warm_allocs),
+          static_cast<std::int64_t>(warm.warm_allocs),
+          static_cast<std::int64_t>(wal.warm_allocs));
+  } else {
+    // Without the interposer nothing counts allocations; 0 would read
+    // as a measurement.
+    std::printf("%-28s %14s %14s %14s\n", "warm-path allocations", "n/a",
+                "n/a", "n/a");
+  }
   row_i("GP full compiles", cold.gp_compiles, warm.gp_compiles,
         wal.gp_compiles);
   row_i("GP coefficient patches", cold.gp_patches, warm.gp_patches,

@@ -156,26 +156,6 @@ Status solve_relaxation_into(const Problem& problem, const CuBounds& bounds,
   return Status::ok();
 }
 
-std::vector<StatusOr<RelaxedSolution>> solve_relaxation_batch(
-    const Problem& problem, const std::vector<CuBounds>& bounds,
-    const std::vector<double>& ii_hints) {
-  MFA_ASSERT(ii_hints.empty() || ii_hints.size() == bounds.size());
-  std::vector<StatusOr<RelaxedSolution>> out;
-  out.reserve(bounds.size());
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    // Each lane runs the exact scalar probe sequence (the bisection has
-    // no cross-lane arithmetic to fuse), so lane results are bit-equal
-    // to individual solve_relaxation calls and remain compatible with
-    // relaxation_cache_key-addressed cache entries. The batch's saving
-    // is the shared thread-local scratch staying hot across lanes —
-    // sibling branch-and-bound children have the same kernel count, so
-    // no probe after the first lane's first ever reallocates.
-    out.push_back(solve_relaxation(problem, bounds[i],
-                                   ii_hints.empty() ? 0.0 : ii_hints[i]));
-  }
-  return out;
-}
-
 StatusOr<RelaxedSolution> solve_relaxation(const Problem& problem,
                                            const CuBounds& bounds) {
   return solve_relaxation(problem, bounds, /*ii_hint=*/0.0);

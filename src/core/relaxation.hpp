@@ -69,23 +69,10 @@ StatusOr<RelaxedSolution> solve_relaxation(const Problem& problem,
 /// solve_relaxation(problem, bounds, ii_hint) — same probes, same
 /// bits — so results remain interchangeable with cached entries under
 /// relaxation_cache_key. On a non-ok status `out` is unspecified. The
-/// discretizer's patched-bounds search routes every node solve through
-/// this with per-depth pooled solutions, which is what removes the
-/// per-node n_hat allocation from branch-and-bound.
+/// discretizer's branch-and-bound routes every node solve through this
+/// with per-depth pooled solutions, so a node allocates no n_hat.
 Status solve_relaxation_into(const Problem& problem, const CuBounds& bounds,
                              double ii_hint, RelaxedSolution& out);
-
-/// Solves several bounds variants of one problem back to back — the
-/// discretizer routes sibling branch-and-bound children (which share the
-/// parent's kernel set and differ only in one tightened bound) through
-/// this. Lane i is bit-identical to
-/// solve_relaxation(problem, bounds[i], ii_hints[i]) — the bisection has
-/// no cross-lane arithmetic — so results stay interchangeable with
-/// individually cached entries under relaxation_cache_key. `ii_hints`
-/// may be empty (no hints) or one hint per lane.
-std::vector<StatusOr<RelaxedSolution>> solve_relaxation_batch(
-    const Problem& problem, const std::vector<CuBounds>& bounds,
-    const std::vector<double>& ii_hints);
 
 /// Builds the GP model (14)–(18) for the problem, with bounds folded in
 /// as monomial constraints. Variable 0 is ÎI; variable 1+k is N̂_k.

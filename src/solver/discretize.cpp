@@ -27,10 +27,6 @@ std::size_t most_fractional(const std::vector<double>& n_hat, double tol) {
   return best;
 }
 
-}  // namespace
-
-namespace {
-
 /// Solves one node relaxation, through the shared cache when configured.
 /// The cache key captures (problem, bounds, hint) exactly, so a hit is
 /// bit-identical to solving — see core/relax_cache.hpp.
@@ -48,65 +44,12 @@ StatusOr<core::RelaxedSolution> solve_node(const Problem& problem,
   return *entry;
 }
 
-/// Solves the two sibling children of one branch as a batch: cache hits
-/// are taken per child, the misses go through one
-/// core::solve_relaxation_batch call (bit-identical per lane to the
-/// scalar solve, so the published cache entries are indistinguishable
-/// from unbatched ones), and solutions are returned in (down, up) order.
-std::array<StatusOr<core::RelaxedSolution>, 2> solve_children_batched(
-    const Problem& problem, const CuBounds& down_bounds,
-    const CuBounds& up_bounds, double ii_hint,
-    core::RelaxationCache* cache) {
-  const CuBounds* child_bounds[2] = {&down_bounds, &up_bounds};
-  std::array<StatusOr<core::RelaxedSolution>, 2> out = {
-      Status{Code::kNumeric, "unsolved"}, Status{Code::kNumeric, "unsolved"}};
-  core::Fingerprint keys[2];
-  bool solved[2] = {false, false};
-  if (cache != nullptr) {
-    for (int i = 0; i < 2; ++i) {
-      keys[i] = core::relaxation_cache_key(problem, *child_bounds[i], ii_hint);
-      if (auto hit = cache->lookup(keys[i])) {
-        out[i] = *hit;
-        solved[i] = true;
-      }
-    }
-  }
-  std::vector<CuBounds> miss_bounds;
-  std::vector<int> miss_slot;
-  for (int i = 0; i < 2; ++i) {
-    if (!solved[i]) {
-      miss_bounds.push_back(*child_bounds[i]);
-      miss_slot.push_back(i);
-    }
-  }
-  if (!miss_bounds.empty()) {
-    std::vector<StatusOr<core::RelaxedSolution>> fresh =
-        core::solve_relaxation_batch(
-            problem, miss_bounds,
-            std::vector<double>(miss_bounds.size(), ii_hint));
-    for (std::size_t m = 0; m < miss_slot.size(); ++m) {
-      const int i = miss_slot[m];
-      if (cache != nullptr) {
-        // First-writer-wins: the stored entry is what any thread would
-        // have computed, so returning our own copy stays deterministic.
-        cache->insert(keys[i], fresh[m]);
-      }
-      out[i] = std::move(fresh[m]);
-    }
-  }
-  return out;
-}
-
-/// Patched-mode node solve: fills `out` (a pooled solution whose n_hat
-/// capacity is reused across the search) instead of returning a fresh
-/// RelaxedSolution. Cache interaction mirrors the legacy paths — per
-/// child lookup, scalar solve of the miss, first-writer-wins insert —
-/// and is hit/miss-identical to solve_children_batched's
-/// lookup-both-then-batch-solve order because sibling keys always
-/// differ (the down child tightens upper[k], the up child lower[k],
-/// and floor < ceil), so neither sibling's insert can satisfy the
-/// other's lookup. The solve itself is core::solve_relaxation_into,
-/// bit-identical to the scalar (and therefore the batch) solver.
+/// Node solve into `out`, a pooled solution whose n_hat capacity is
+/// reused across the search, through the shared cache when configured:
+/// lookup, solve the miss, first-writer-wins insert. Sibling keys always
+/// differ (the down child tightens upper[k], the up child lower[k], and
+/// floor < ceil), so neither sibling's insert can satisfy the other's
+/// lookup.
 Status solve_node_into(const Problem& problem, const CuBounds& bounds,
                        double ii_hint, core::RelaxationCache* cache,
                        core::RelaxedSolution& out) {
@@ -129,16 +72,12 @@ Status solve_node_into(const Problem& problem, const CuBounds& bounds,
   return solved;
 }
 
-/// The in-place branch-and-bound of DiscretizeOptions::patched_bounds:
-/// one shared CuBounds patched/restored around each subtree, per-depth
-/// pooled child solutions, and a recursion whose visit order is exactly
-/// the explicit-stack search's pop order (children solved down-then-up
-/// at the parent, up's subtree explored first). Equivalence argument:
-/// pushing {down, up} and popping LIFO *is* "recurse into up, then into
-/// down", the incumbent/prune state threads through in the same order,
-/// the node counter increments at visit entry exactly as it did at pop,
-/// and an exhausted node budget aborts every not-yet-visited frame just
-/// as the stack search abandoned its remaining stack.
+/// The branch-and-bound: one shared CuBounds patched in place around
+/// each subtree and restored on return, and per-depth pooled child
+/// solutions. At each node both children are solved down-then-up, then
+/// the up child's subtree is explored first. The node counter increments
+/// at visit entry; an exhausted node budget aborts every frame not yet
+/// visited.
 struct PatchedSearch {
   PatchedSearch(const Problem& p, const DiscretizeOptions& o)
       : problem(p), options(o), bounds(CuBounds::defaults(p)) {}
@@ -189,12 +128,12 @@ struct PatchedSearch {
 
     const double floor_v = std::floor(relax.n_hat[k]);
     const double ceil_v = std::ceil(relax.n_hat[k]);
-    const double hint = options.warm_start_nodes ? relax.ii : 0.0;
+    const double hint = relax.ii;  // children start from the parent ÎI
     if (pool.size() <= depth) pool.resize(depth + 1);
     std::array<core::RelaxedSolution, 2>& kids = pool[depth];
 
-    // Solve both children at the parent, down then up — the order the
-    // stack search solves (or batch-solves, bit-identically) them in.
+    // Branch: N_k ≤ ⌊N̂_k⌋ and N_k ≥ ⌈N̂_k⌉ (paper §3.2.2). Solve both
+    // children at the parent, down then up.
     const double saved_upper = bounds.upper[k];
     const double saved_lower = bounds.lower[k];
     bounds.upper[k] = std::min(saved_upper, floor_v);
@@ -207,10 +146,10 @@ struct PatchedSearch {
         solve_node_into(problem, bounds, hint, options.cache, kids[1])
             .is_ok();
 
-    // Descend up-first (more CUs → lower II incumbent sooner, and the
-    // stack search pushes up last so it pops first), re-applying each
-    // child's single-bound patch around its subtree. `relax` may alias
-    // a shallower pool row but is dead past this point.
+    // Descend up-first (more CUs → lower II incumbent sooner, which
+    // sharpens pruning), re-applying each child's single-bound patch
+    // around its subtree. `relax` may alias a shallower pool row but is
+    // dead past this point.
     if (up_ok) visit(kids[1], depth + 1);
     bounds.lower[k] = saved_lower;
     if (down_ok) {
@@ -237,130 +176,20 @@ StatusOr<DiscretizeResult> Discretizer::run(const Problem& problem,
   DiscretizeResult result;
   result.relaxed_ii = root.ii;
 
-  double best_ii = std::numeric_limits<double>::infinity();
-  std::vector<int> best_totals;
-  std::int64_t nodes = 0;
-  bool aborted = false;
-
-  if (options_.patched_bounds) {
-    // In-place bound patching over one shared CuBounds; the explicit
-    // stack below is the bit-parity oracle (differential_fuzz
-    // --patched-bounds replays both and compares).
-    PatchedSearch search(problem, options_);
-    search.visit(root, 0);
-    best_ii = search.best_ii;
-    best_totals = std::move(search.best_totals);
-    nodes = search.nodes;
-    aborted = search.aborted;
-    result.nodes = nodes;
-    result.proved_optimal = !aborted;
-    if (best_totals.empty()) {
-      if (aborted) {
-        return Status{Code::kLimit,
-                      "node cap reached before an integral solution"};
-      }
-      return Status{Code::kInfeasible, "no integral totals satisfy the "
-                                       "pooled resource constraints"};
-    }
-    result.totals = std::move(best_totals);
-    result.ii = best_ii;
-    return result;
-  }
-
-  struct Node {
-    CuBounds bounds;
-    RelaxedSolution relax;
-  };
-  std::vector<Node> stack;
-  stack.push_back({CuBounds::defaults(problem), root});
-
-  while (!stack.empty()) {
-    if (nodes >= options_.max_nodes) {
-      aborted = true;
-      break;
-    }
-    ++nodes;
-    Node node = std::move(stack.back());
-    stack.pop_back();
-
-    // Prune: the node relaxation bounds every integer solution below it.
-    if (node.relax.ii >= best_ii * (1.0 - 1e-12)) continue;
-
-    const std::size_t k =
-        most_fractional(node.relax.n_hat, options_.integrality_tol);
-    if (k == std::string::npos) {
-      // Integral node: a candidate totals vector.
-      std::vector<int> totals(problem.num_kernels());
-      double ii = 0.0;
-      for (std::size_t j = 0; j < totals.size(); ++j) {
-        totals[j] = static_cast<int>(std::llround(node.relax.n_hat[j]));
-        MFA_ASSERT(totals[j] >= 1);
-        ii = std::max(ii, problem.app.kernels[j].wcet_ms / totals[j]);
-      }
-      if (ii < best_ii) {
-        best_ii = ii;
-        best_totals = std::move(totals);
-      }
-      continue;
-    }
-
-    // Branch: N_k ≤ ⌊N̂_k⌋ and N_k ≥ ⌈N̂_k⌉ (paper §3.2.2). The ceil
-    // child is pushed last so it is explored first: more CUs means a
-    // lower II incumbent sooner, which sharpens pruning. Children are
-    // warm-started from this node's ÎI: tightening a bound can only
-    // raise the relaxed optimum, so the parent value brackets the child
-    // bisection from below.
-    const double floor_v = std::floor(node.relax.n_hat[k]);
-    const double ceil_v = std::ceil(node.relax.n_hat[k]);
-    const double hint = options_.warm_start_nodes ? node.relax.ii : 0.0;
-
-    Node down{node.bounds, {}};
-    down.bounds.upper[k] = std::min(down.bounds.upper[k], floor_v);
-    Node up{std::move(node.bounds), {}};
-    up.bounds.lower[k] = std::max(up.bounds.lower[k], ceil_v);
-
-    if (options_.batch_children) {
-      // Siblings share the parent's structure, so both relaxations go
-      // through one batch solve (lane-for-lane bit-identical to the
-      // unbatched calls below — the push order and hence the search
-      // trace are unchanged).
-      auto pair = solve_children_batched(problem, down.bounds, up.bounds,
-                                         hint, options_.cache);
-      if (pair[0].is_ok()) {
-        down.relax = std::move(pair[0].value());
-        stack.push_back(std::move(down));
-      }
-      if (pair[1].is_ok()) {
-        up.relax = std::move(pair[1].value());
-        stack.push_back(std::move(up));
-      }
-      continue;
-    }
-
-    if (auto rel = solve_node(problem, down.bounds, hint, options_.cache);
-        rel.is_ok()) {
-      down.relax = std::move(rel.value());
-      stack.push_back(std::move(down));
-    }
-    if (auto rel = solve_node(problem, up.bounds, hint, options_.cache);
-        rel.is_ok()) {
-      up.relax = std::move(rel.value());
-      stack.push_back(std::move(up));
-    }
-  }
-
-  result.nodes = nodes;
-  result.proved_optimal = !aborted;
-  if (best_totals.empty()) {
-    if (aborted) {
+  PatchedSearch search(problem, options_);
+  search.visit(root, 0);
+  result.nodes = search.nodes;
+  result.proved_optimal = !search.aborted;
+  if (search.best_totals.empty()) {
+    if (search.aborted) {
       return Status{Code::kLimit,
                     "node cap reached before an integral solution"};
     }
     return Status{Code::kInfeasible, "no integral totals satisfy the "
                                      "pooled resource constraints"};
   }
-  result.totals = std::move(best_totals);
-  result.ii = best_ii;
+  result.totals = std::move(search.best_totals);
+  result.ii = search.best_ii;
   return result;
 }
 

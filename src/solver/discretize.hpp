@@ -8,6 +8,14 @@
 // meets or exceeds the best integer ÎI found. The node relaxation is the
 // exact bisection solver, so nodes cost microseconds; the number of
 // branched variables is |K|, not |K|·F as in the raw MINLP.
+//
+// Each child's bisection is seeded with its parent's ÎI (tightening a
+// bound can only raise the relaxed optimum, so the parent value is a
+// valid bracket end). The search patches one shared CuBounds in place
+// and reuses per-depth node solutions, so a node copies no bounds and
+// allocates no solution once its depth has been reached.
+// differential_fuzz --enumerate checks it against an exhaustive
+// enumerator of integral totals.
 #pragma once
 
 #include <cstdint>
@@ -31,30 +39,6 @@ struct DiscretizeResult {
 struct DiscretizeOptions {
   std::int64_t max_nodes = 1'000'000;
   double integrality_tol = 1e-6;
-  /// Seed each child node's bisection with its parent's relaxed ÎI — a
-  /// valid bracket end after bound tightening, so the search result is
-  /// unchanged and the node solve converges in fewer iterations.
-  bool warm_start_nodes = true;
-  /// Solve both branch children through one
-  /// core::solve_relaxation_batch call instead of two separate solves.
-  /// Siblings share the parent's kernel set (only one bound differs), so
-  /// the batch reuses the bisection scratch across lanes; lane results
-  /// are bit-identical to the unbatched path and interoperate with the
-  /// shared relaxation cache (hits are taken per child, only the misses
-  /// are batch-solved, and solutions are published per child key).
-  bool batch_children = true;
-  /// Branch by patching the branched variable's two bound values in
-  /// place on ONE shared CuBounds (each child's patch applied around
-  /// its subtree and restored on backtrack) instead of materializing a
-  /// CuBounds copy per node, with per-depth pooled node solutions
-  /// (core::solve_relaxation_into) instead of a fresh n_hat per node —
-  /// the allocation-free warm-path half of ROADMAP item 1's B&B work.
-  /// Purely a memory/speed change: visit order, prune timing, node
-  /// counts, cache keys/hits and results are bit-identical to the
-  /// explicit-stack search (patched_bounds = false, kept as the parity
-  /// oracle; differential_fuzz --patched-bounds asserts the
-  /// equivalence across seeds).
-  bool patched_bounds = true;
   /// Optional shared memoization of node relaxations, keyed by problem
   /// fingerprint × bounds × warm hint (core/relax_cache.hpp). Distinct
   /// GP+A lanes and duplicate batch instances walk identical trees, so a

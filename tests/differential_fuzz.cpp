@@ -32,25 +32,29 @@
 //     the free stay-put option, and the GP+A stability plumbing must
 //     hold the incumbent in place at zero budgets.
 //
-//  7. patched-bounds parity — the discretizer's in-place bound-patching
-//     branch-and-bound reproduces the explicit-stack oracle bit for
-//     bit: node counts, incumbent, root relaxation, optimality
-//     provenance and (when sharing a relaxation cache) the hit/miss
-//     trace, across warm-start/batching flavors and under node caps.
+//  7. discretization vs an exhaustive enumerator — the branch-and-bound
+//     against test::enumerate_best_totals, which walks every integral
+//     totals vector under the pooled caps with its own arithmetic: same
+//     feasibility verdict, a proved optimum of equal II (ties may pick
+//     other totals), a root relaxation below it, and under a tiny node
+//     cap either kLimit or totals that fit with II ≥ the optimum. Runs
+//     on fuzz_spec() and the deeper deep_fuzz_spec(); seeds whose box is
+//     too large to walk are skipped and counted, and the B&B node counts
+//     are printed as a histogram.
 //
 // Usage: differential_fuzz [num_seeds] [--start S] [--out failure.json]
 //                          [--parity] [--relaxation] [--stability]
-//                          [--patched-bounds]
+//                          [--enumerate]
 //
 // --parity runs only check 4, --relaxation only check 5, --stability only
-// check 6 and --patched-bounds only check 7 (no exact/naive oracles);
-// all are cheap enough for wide ctest slices across heterogeneous
-// platforms.
+// check 6 and --enumerate only check 7 (no exact/naive oracles); all are
+// cheap enough for wide ctest slices across heterogeneous platforms.
 //
 // On mismatch it prints the seed and the scenario JSON to stderr, writes
 // the scenario to --out (CI uploads it as an artifact) and exits 1.
 // Budget-capped (unproved) exact/naive results are skipped, not failed.
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -81,7 +85,7 @@ struct Options {
   bool parity_only = false;
   bool relaxation_only = false;
   bool stability_only = false;
-  bool patched_bounds_only = false;
+  bool enumerate_only = false;
 };
 
 void report_failure(std::uint64_t seed, const mfa::core::Problem& problem,
@@ -178,94 +182,103 @@ const char* check_relaxation_agreement(const mfa::core::Problem& problem,
   return nullptr;
 }
 
-/// Check 7: in-place bound-patching B&B (DiscretizeOptions::
-/// patched_bounds) vs the explicit-stack search it replaced on the warm
-/// path. The claim is *bit-for-bit* reproduction, not tolerance-level:
-/// node count, incumbent totals/ÎI, the root relaxation and the
-/// optimality provenance must all be identical, with and without a
-/// shared relaxation cache — and when caches are used, both modes must
-/// produce the same hit/miss trace (the patched mode's per-child
-/// sequential lookups must be indistinguishable from the stack mode's
-/// lookup-both-then-batch order). Warm-start and child-batching flavors
-/// rotate with the seed so every legacy configuration is covered. A
-/// tiny node cap on a third run checks the abort path counts nodes
-/// identically too.
-const char* check_patched_bounds(const mfa::core::Problem& problem,
-                                 std::uint64_t seed) {
-  using mfa::solver::DiscretizeResult;
+/// Boxes with more integral totals vectors than this are not enumerated.
+/// Every deep_fuzz_spec() box (at most 36^7 ≈ 7.8e10) is below it; the
+/// cap-pruned walk visits only a sliver of the box, so the whole corpus
+/// runs in milliseconds per seed.
+constexpr double kEnumerateMaxPoints = 1e11;
 
-  const auto compare =
-      [](const mfa::StatusOr<DiscretizeResult>& stack,
-         const mfa::StatusOr<DiscretizeResult>& patched) -> const char* {
-    if (stack.is_ok() != patched.is_ok()) {
-      return "patched-bounds search disagrees with the stack oracle on "
-             "status";
-    }
-    if (!stack.is_ok()) {
-      if (stack.status().code() != patched.status().code()) {
-        return "patched-bounds search fails with a different status code";
-      }
-      return nullptr;
-    }
-    const DiscretizeResult& a = stack.value();
-    const DiscretizeResult& b = patched.value();
-    if (a.nodes != b.nodes) return "patched-bounds node count differs";
-    if (a.totals != b.totals) return "patched-bounds incumbent differs";
-    if (a.ii != b.ii || a.relaxed_ii != b.relaxed_ii) {
-      return "patched-bounds II is not bit-identical";
-    }
-    if (a.proved_optimal != b.proved_optimal) {
-      return "patched-bounds optimality provenance differs";
-    }
+/// What check_enumerate saw over one corpus.
+struct EnumerateStats {
+  std::uint64_t solved = 0;
+  std::uint64_t infeasible = 0;
+  std::uint64_t skipped = 0;
+  std::uint64_t ties = 0;  ///< equal II, different totals
+  std::int64_t max_nodes = 0;
+  /// Seeds by B&B node count: 1, 2, 3–4, 5–8, …, 129–256, more.
+  std::array<std::uint64_t, 10> histogram{};
+};
+
+/// Check 7: the discretizer against the exhaustive enumerator (see the
+/// file comment).
+const char* check_enumerate(const mfa::core::Problem& problem,
+                            std::uint64_t seed, EnumerateStats& stats) {
+  const mfa::test::Enumeration truth =
+      mfa::test::enumerate_best_totals(problem, kEnumerateMaxPoints);
+  if (truth.skipped) {
+    ++stats.skipped;
     return nullptr;
-  };
-
-  mfa::solver::DiscretizeOptions stack_opts;
-  stack_opts.patched_bounds = false;
-  stack_opts.warm_start_nodes = (seed % 2) == 0;
-  stack_opts.batch_children = (seed % 3) != 0;
-  mfa::solver::DiscretizeOptions patched_opts = stack_opts;
-  patched_opts.patched_bounds = true;
-
-  // Cacheless runs.
-  if (const char* mismatch =
-          compare(mfa::solver::Discretizer(stack_opts).run(problem),
-                  mfa::solver::Discretizer(patched_opts).run(problem))) {
-    return mismatch;
   }
-
-  // One private cache per mode: results and the hit/miss trace must
-  // both line up.
-  mfa::core::RelaxationCache stack_cache;
-  mfa::core::RelaxationCache patched_cache;
-  stack_opts.cache = &stack_cache;
-  patched_opts.cache = &patched_cache;
-  if (const char* mismatch =
-          compare(mfa::solver::Discretizer(stack_opts).run(problem),
-                  mfa::solver::Discretizer(patched_opts).run(problem))) {
-    return mismatch;
+  const auto bnb = mfa::solver::Discretizer().run(problem);
+  if (!truth.feasible) {
+    if (bnb.is_ok() || bnb.status().code() != mfa::Code::kInfeasible) {
+      return "B&B does not report kInfeasible, but no integral totals fit";
+    }
+    ++stats.infeasible;
+    return nullptr;
   }
-  const auto stack_stats = stack_cache.stats();
-  const auto patched_stats = patched_cache.stats();
-  if (stack_stats.hits != patched_stats.hits ||
-      stack_stats.misses != patched_stats.misses) {
-    std::fprintf(stderr,
-                 "cache trace: stack %llu/%llu patched %llu/%llu "
-                 "(hits/misses)\n",
-                 static_cast<unsigned long long>(stack_stats.hits),
-                 static_cast<unsigned long long>(stack_stats.misses),
-                 static_cast<unsigned long long>(patched_stats.hits),
-                 static_cast<unsigned long long>(patched_stats.misses));
-    return "patched-bounds cache hit/miss trace differs from the oracle";
+  if (!bnb.is_ok()) {
+    std::fprintf(stderr, "B&B: %s\n", bnb.status().to_string().c_str());
+    return "B&B failed on an instance with fitting integral totals";
   }
+  const mfa::solver::DiscretizeResult& r = bnb.value();
+  if (!r.proved_optimal) return "uncapped B&B did not prove optimality";
+  if (!(std::abs(r.ii - truth.best_ii) <= 1e-9 * truth.best_ii)) {
+    std::fprintf(stderr, "B&B II %.12g, enumerated optimum %.12g\n", r.ii,
+                 truth.best_ii);
+    return "B&B II differs from the enumerated optimum";
+  }
+  // The bisection stops within 1e-14 relative of the relaxed optimum.
+  if (!(r.relaxed_ii <= r.ii * (1.0 + 1e-12))) {
+    return "root relaxation exceeds the B&B II";
+  }
+  ++stats.solved;
+  if (r.totals != truth.best_totals) ++stats.ties;
+  stats.max_nodes = std::max(stats.max_nodes, r.nodes);
+  std::size_t bucket = 0;
+  while (bucket + 1 < stats.histogram.size() &&
+         r.nodes > (std::int64_t{1} << bucket)) {
+    ++bucket;
+  }
+  ++stats.histogram[bucket];
 
-  // Abort parity under a tiny node cap (cacheless, so the cap binds).
-  stack_opts.cache = nullptr;
-  patched_opts.cache = nullptr;
-  stack_opts.max_nodes = 1 + static_cast<std::int64_t>(seed % 7);
-  patched_opts.max_nodes = stack_opts.max_nodes;
-  return compare(mfa::solver::Discretizer(stack_opts).run(problem),
-                 mfa::solver::Discretizer(patched_opts).run(problem));
+  // A node cap may stop the search, but whatever it returns must fit.
+  mfa::solver::DiscretizeOptions capped;
+  capped.max_nodes = 1 + static_cast<std::int64_t>(seed % 7);
+  const auto cut = mfa::solver::Discretizer(capped).run(problem);
+  if (!cut.is_ok()) {
+    return cut.status().code() == mfa::Code::kLimit
+               ? nullptr
+               : "node-capped B&B failed with a status other than kLimit";
+  }
+  if (!mfa::test::totals_fit_pooled_caps(problem, cut.value().totals)) {
+    return "node-capped B&B returned totals that exceed the pooled caps";
+  }
+  if (cut.value().ii < truth.best_ii * (1.0 - 1e-9)) {
+    return "node-capped B&B beat the enumerated optimum";
+  }
+  return nullptr;
+}
+
+void print_enumerate_stats(const char* corpus, const EnumerateStats& s) {
+  std::printf("%s: %" PRIu64 " solved (%" PRIu64 " equal-II ties), %" PRIu64
+              " infeasible, %" PRIu64 " skipped (box > %.0e totals)\n",
+              corpus, s.solved, s.ties, s.infeasible, s.skipped,
+              kEnumerateMaxPoints);
+  std::printf("  B&B nodes  seeds\n");
+  for (std::size_t b = 0; b < s.histogram.size(); ++b) {
+    char label[32];
+    const long long hi = 1LL << b;
+    if (b + 1 == s.histogram.size()) {
+      std::snprintf(label, sizeof label, ">%lld", hi / 2);
+    } else if (b < 2) {
+      std::snprintf(label, sizeof label, "%lld", hi);
+    } else {
+      std::snprintf(label, sizeof label, "%lld-%lld", hi / 2 + 1, hi);
+    }
+    std::printf("  %-9s  %" PRIu64 "\n", label, s.histogram[b]);
+  }
+  std::printf("  largest tree: %" PRId64 " nodes\n", s.max_nodes);
 }
 
 /// Migration-aware packing oracle (see file comment, check 6). The
@@ -527,8 +540,8 @@ int main(int argc, char** argv) {
       opt.relaxation_only = true;
     } else if (std::strcmp(argv[i], "--stability") == 0) {
       opt.stability_only = true;
-    } else if (std::strcmp(argv[i], "--patched-bounds") == 0) {
-      opt.patched_bounds_only = true;
+    } else if (std::strcmp(argv[i], "--enumerate") == 0) {
+      opt.enumerate_only = true;
     } else if (argv[i][0] != '-') {
       opt.count = std::strtoull(argv[i], nullptr, 10);
       if (opt.count == 0) {
@@ -539,54 +552,71 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [num_seeds] [--start S] [--out failure.json]"
                    " [--parity] [--relaxation] [--stability]"
-                   " [--patched-bounds]\n",
+                   " [--enumerate]\n",
                    argv[0]);
       return 2;
     }
   }
 
-  const mfa::scenario::ScenarioSpec spec = mfa::test::fuzz_spec();
+  struct Corpus {
+    const char* name;
+    mfa::scenario::ScenarioSpec spec;
+  };
+  std::vector<Corpus> corpora = {{"fuzz_spec", mfa::test::fuzz_spec()}};
+  if (opt.enumerate_only) {
+    corpora.push_back({"deep_fuzz_spec", mfa::test::deep_fuzz_spec()});
+  }
   std::uint64_t checked = 0;
   std::uint64_t infeasible = 0;
-  for (std::uint64_t seed = opt.start; seed < opt.start + opt.count; ++seed) {
-    const mfa::core::Problem problem = mfa::scenario::generate(spec, seed);
-    bool feasible = true;
-    const char* mismatch = nullptr;
-    if (opt.parity_only) {
-      mismatch = check_patch_parity(problem);
-    } else if (opt.relaxation_only) {
-      mismatch = check_relaxation_agreement(problem, &feasible);
-    } else if (opt.stability_only) {
-      mismatch = check_stability(problem, seed);
-    } else if (opt.patched_bounds_only) {
-      mismatch = check_patched_bounds(problem, seed);
-    } else {
-      mismatch = check_seed(problem, &feasible);
+  for (const Corpus& corpus : corpora) {
+    EnumerateStats enumerated;
+    std::uint64_t corpus_checked = 0;
+    for (std::uint64_t seed = opt.start; seed < opt.start + opt.count;
+         ++seed) {
+      const mfa::core::Problem problem =
+          mfa::scenario::generate(corpus.spec, seed);
+      bool feasible = true;
+      const char* mismatch = nullptr;
+      if (opt.parity_only) {
+        mismatch = check_patch_parity(problem);
+      } else if (opt.relaxation_only) {
+        mismatch = check_relaxation_agreement(problem, &feasible);
+      } else if (opt.stability_only) {
+        mismatch = check_stability(problem, seed);
+      } else if (opt.enumerate_only) {
+        mismatch = check_enumerate(problem, seed, enumerated);
+      } else {
+        mismatch = check_seed(problem, &feasible);
+      }
+      if (mismatch != nullptr) {
+        std::fprintf(stderr, "corpus: %s\n", corpus.name);
+        report_failure(seed, problem, opt, mismatch);
+        return 1;
+      }
+      ++checked;
+      ++corpus_checked;
+      if (!feasible) ++infeasible;
+      if (corpus_checked % 50 == 0) {
+        std::printf("  %s: %" PRIu64 "/%" PRIu64 " seeds ok\n", corpus.name,
+                    corpus_checked, opt.count);
+        std::fflush(stdout);
+      }
     }
-    if (mismatch != nullptr) {
-      report_failure(seed, problem, opt, mismatch);
-      return 1;
-    }
-    ++checked;
-    if (!feasible) ++infeasible;
-    if (checked % 50 == 0) {
-      std::printf("  %" PRIu64 "/%" PRIu64 " seeds ok\n", checked, opt.count);
-      std::fflush(stdout);
-    }
+    if (opt.enumerate_only) print_enumerate_stats(corpus.name, enumerated);
   }
   std::printf("differential fuzz%s: %" PRIu64 " seeds ok\n",
-              opt.parity_only          ? " (patch parity)"
-              : opt.relaxation_only    ? " (relaxation agreement)"
-              : opt.stability_only     ? " (stability)"
-              : opt.patched_bounds_only ? " (patched bounds)"
-                                        : "",
+              opt.parity_only       ? " (patch parity)"
+              : opt.relaxation_only ? " (relaxation agreement)"
+              : opt.stability_only  ? " (stability)"
+              : opt.enumerate_only  ? " (B&B vs enumerator)"
+                                    : "",
               checked);
   if (opt.relaxation_only) {
     std::printf("(%" PRIu64 " both solved, %" PRIu64
                 " both infeasible; worst relative ÎI gap %.2g)\n",
                 checked - infeasible, infeasible, g_worst_relaxation_gap);
   } else if (!opt.parity_only && !opt.stability_only &&
-             !opt.patched_bounds_only) {
+             !opt.enumerate_only) {
     std::printf("(%" PRIu64 " infeasible instances exercised)\n", infeasible);
   }
   return 0;

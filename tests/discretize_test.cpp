@@ -1,4 +1,4 @@
-#include <cmath>
+#include <algorithm>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -72,40 +72,6 @@ TEST(Discretizer, NodeCapReported) {
   }
 }
 
-/// Oracle: brute-force the best integral totals under the pooled
-/// constraints for tiny instances.
-double brute_force_best_ii(const Problem& p) {
-  const double f = p.num_fpgas();
-  std::vector<int> caps(p.num_kernels());
-  for (std::size_t k = 0; k < p.num_kernels(); ++k) {
-    caps[k] = std::min(p.max_cu_total(k), 6);
-  }
-  std::vector<int> totals(p.num_kernels(), 1);
-  double best = std::numeric_limits<double>::infinity();
-  std::function<void(std::size_t)> rec = [&](std::size_t k) {
-    if (k == p.num_kernels()) {
-      core::ResourceVec pooled;
-      double bw = 0.0;
-      double ii = 0.0;
-      for (std::size_t j = 0; j < totals.size(); ++j) {
-        pooled += p.app.kernels[j].res * static_cast<double>(totals[j]);
-        bw += p.app.kernels[j].bw * totals[j];
-        ii = std::max(ii, p.app.kernels[j].wcet_ms / totals[j]);
-      }
-      if (pooled.fits_within(p.cap() * f, 1e-9) && bw <= f * p.bw_cap() + 1e-9) {
-        best = std::min(best, ii);
-      }
-      return;
-    }
-    for (int n = 1; n <= caps[k]; ++n) {
-      totals[k] = n;
-      rec(k + 1);
-    }
-  };
-  rec(0);
-  return best;
-}
-
 /// Property: the branch-and-bound rounding finds the optimal integral
 /// totals of the pooled problem (what the paper's §3.2.2 B&B promises).
 class RandomDiscretize : public ::testing::TestWithParam<int> {};
@@ -116,56 +82,22 @@ TEST_P(RandomDiscretize, MatchesBruteForce) {
   spec.max_kernels = 3;
   spec.max_fpgas = 2;
   Problem p = test::random_problem(rng, spec);
-  // Keep per-kernel CU caps small so the oracle stays cheap.
   p.resource_fraction = std::max(p.resource_fraction, 0.6);
 
+  const test::Enumeration oracle = test::enumerate_best_totals(p, 1e8);
+  ASSERT_FALSE(oracle.skipped) << "box of " << oracle.box << " totals";
   auto r = Discretizer().run(p);
-  const double oracle = brute_force_best_ii(p);
-  if (!r.is_ok()) {
-    EXPECT_TRUE(std::isinf(oracle));
+  if (!oracle.feasible) {
+    EXPECT_EQ(r.status().code(), Code::kInfeasible);
     return;
   }
-  ASSERT_TRUE(r.value().proved_optimal);
-  // The oracle caps totals at 6 per kernel, so it can only be ≥ B&B.
-  EXPECT_LE(r.value().ii, oracle + 1e-9);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_TRUE(r.value().proved_optimal);
+  EXPECT_NEAR(r.value().ii, oracle.best_ii, 1e-9 * oracle.best_ii);
+  EXPECT_TRUE(test::totals_fit_pooled_caps(p, r.value().totals));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDiscretize, ::testing::Range(1, 41));
-
-/// Sibling batching is a pure execution-strategy switch: the batched
-/// child solves promise lane-for-lane bit identity with the unbatched
-/// path, so the whole search — node count, incumbent, and the relaxed
-/// values it is built from — must match bitwise, not just to tolerance.
-class BatchedChildrenParity : public ::testing::TestWithParam<int> {};
-
-TEST_P(BatchedChildrenParity, BitwiseEqualToUnbatched) {
-  std::mt19937 rng(static_cast<unsigned>(GetParam()) * 2503u);
-  test::RandomSpec spec;
-  spec.max_kernels = 4;
-  spec.max_fpgas = 3;
-  const Problem p = test::random_problem(rng, spec);
-
-  DiscretizeOptions batched;
-  batched.batch_children = true;
-  DiscretizeOptions unbatched;
-  unbatched.batch_children = false;
-
-  const auto a = Discretizer(batched).run(p);
-  const auto b = Discretizer(unbatched).run(p);
-  ASSERT_EQ(a.is_ok(), b.is_ok());
-  if (!a.is_ok()) {
-    EXPECT_EQ(a.status().code(), b.status().code());
-    return;
-  }
-  EXPECT_EQ(a.value().totals, b.value().totals);
-  EXPECT_EQ(a.value().ii, b.value().ii);                  // bitwise
-  EXPECT_EQ(a.value().relaxed_ii, b.value().relaxed_ii);  // bitwise
-  EXPECT_EQ(a.value().nodes, b.value().nodes);
-  EXPECT_EQ(a.value().proved_optimal, b.value().proved_optimal);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchedChildrenParity,
-                         ::testing::Range(1, 31));
 
 }  // namespace
 }  // namespace mfa::solver

@@ -398,29 +398,27 @@ TEST(RelaxationWarmStart, GpWarmStartMatchesCold) {
   }
 }
 
-TEST(Discretizer, CachedAndWarmStartedSearchMatchesColdSearch) {
-  // The cache + parent-hint warm starts are pure accelerations: totals
-  // and II must match a cold discretization exactly.
+TEST(Discretizer, CachedSearchMatchesUncachedSearch) {
+  // The cache is a pure acceleration: a hit returns the bits a solve
+  // would, so the search (totals, II, node count) must match exactly.
   const Problem p = tiny_problem();
-  solver::DiscretizeOptions cold_opts;
-  cold_opts.warm_start_nodes = false;
-  const auto cold = solver::Discretizer(cold_opts).run(p);
-  ASSERT_TRUE(cold.is_ok());
+  const auto uncached = solver::Discretizer().run(p);
+  ASSERT_TRUE(uncached.is_ok());
 
   RelaxationCache cache;
-  solver::DiscretizeOptions warm_opts;
-  warm_opts.warm_start_nodes = true;
-  warm_opts.cache = &cache;
-  const auto warm = solver::Discretizer(warm_opts).run(p);
-  ASSERT_TRUE(warm.is_ok());
-  EXPECT_EQ(warm.value().totals, cold.value().totals);
-  EXPECT_DOUBLE_EQ(warm.value().ii, cold.value().ii);
+  solver::DiscretizeOptions cached_opts;
+  cached_opts.cache = &cache;
+  const auto cached = solver::Discretizer(cached_opts).run(p);
+  ASSERT_TRUE(cached.is_ok());
+  EXPECT_EQ(cached.value().totals, uncached.value().totals);
+  EXPECT_EQ(cached.value().ii, uncached.value().ii);
+  EXPECT_EQ(cached.value().nodes, uncached.value().nodes);
   EXPECT_GT(cache.size(), 0u);
 
   // Re-running with a populated cache reproduces the result from hits.
-  const auto replay = solver::Discretizer(warm_opts).run(p);
+  const auto replay = solver::Discretizer(cached_opts).run(p);
   ASSERT_TRUE(replay.is_ok());
-  EXPECT_EQ(replay.value().totals, warm.value().totals);
+  EXPECT_EQ(replay.value().totals, cached.value().totals);
   EXPECT_EQ(cache.stats().hits, cache.stats().misses);
 }
 
