@@ -12,7 +12,6 @@
 #include "bench/common.hpp"
 #include "hls/paper.hpp"
 #include "sim/pipeline_sim.hpp"
-#include "solver/discretize.hpp"
 
 namespace {
 

@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the solver components: the GP
-// interior-point solve, the exact bisection relaxation, branch-and-bound
-// discretization, Algorithm 1, exact packing, and the end-to-end
+// interior-point solve, the exact bisection relaxation, the candidate-
+// threshold discretization, Algorithm 1, exact packing, and the end-to-end
 // pipelines on the paper's largest case.
 #include <benchmark/benchmark.h>
 
@@ -8,7 +8,6 @@
 #include "alloc/greedy.hpp"
 #include "core/relaxation.hpp"
 #include "hls/paper.hpp"
-#include "solver/discretize.hpp"
 #include "solver/exact.hpp"
 #include "solver/candidates.hpp"
 #include "solver/packing.hpp"
@@ -42,7 +41,7 @@ BENCHMARK(BM_RelaxationInteriorPoint);
 void BM_Discretize(benchmark::State& state) {
   const mfa::core::Problem p = vgg_problem(0.7);
   for (auto _ : state) {
-    auto r = mfa::solver::Discretizer().run(p);
+    auto r = mfa::solver::discretize(p);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -50,7 +49,7 @@ BENCHMARK(BM_Discretize);
 
 void BM_GreedyAllocate(benchmark::State& state) {
   const mfa::core::Problem p = vgg_problem(0.7);
-  const auto disc = mfa::solver::Discretizer().run(p);
+  const auto disc = mfa::solver::discretize(p);
   for (auto _ : state) {
     auto r = mfa::alloc::GreedyAllocator().allocate(p, disc.value().totals);
     benchmark::DoNotOptimize(r);

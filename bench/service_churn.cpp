@@ -1,36 +1,20 @@
-// Serving-path benchmark: warm-started incremental re-solves vs cold,
-// plus the compiled-GP model-cache economics.
+// Serving-path benchmark on the configuration mfallocd ships: default
+// ServerOptions (bisection root, candidate-threshold discretization,
+// heuristic lanes only), without and with the write-ahead log.
 //
 // Replays one seeded arrival trace (scenario/trace.hpp) through two
-// AllocServers that differ only in ServerOptions::warm_start, with the
-// interior-point root relaxation so solver effort is measurable in GP
-// Newton iterations (gp::total_newton_iterations()). The warm server
-// seeds every event's root solve from the incumbent allocation's
-// ÎI/N̂; the cold server re-solves each event from scratch. Both run
-// the same sharded capacity-bounded cache configuration, so the
-// comparison isolates the warm start itself.
+// AllocServers that differ only in ServerOptions::wal_dir. The second
+// replay appends every event to a WAL (fsync on) before applying it, so
+// the durability cost shows per event rather than hidden in the daemon.
 //
-// Reported per mode: total GP Newton iterations, wall-clock replay
-// time, mean/p50/p95 per-event latency, B&B nodes, and the
-// structure/coefficient-split counters — full GP IR lowerings
-// (compiles) vs in-place coefficient patches, plus hit/miss/eviction
-// stats of both the relaxation cache and the compiled-model cache.
+// Reported per mode: wall-clock replay time, mean/p50/p95/p99/max
+// per-event latency, solver nodes (discretization probes), and the heap
+// allocations inside warm composite deltas.
 //
-// A third replay runs the warm configuration with a write-ahead log
-// (fsync on) to price durability: the WAL column reports the same
-// latency metrics, so the append-before-apply overhead is visible per
-// event rather than hidden in the daemon.
-//
-// `--check` exits non-zero when any PR gate fails:
-//   * warm must beat cold on total Newton iterations (PR-4),
-//   * Reprioritize/ResizePlatform events must perform *zero* full GP
-//     recompiles — numeric-only deltas keep the composite's structure,
-//     so every such solve must be a model-cache hit + patch (PR-5),
+// `--check` exits non-zero when a gate fails:
 //   * the WAL replay's deterministic event log must be byte-identical
-//     to the non-WAL warm replay — durability is observability-free
-//     (PR-6, the property crash recovery rides on),
-//   * every full IR lowering must match a compiled-model cache miss
-//     (no path compiles structures behind the cache's back), and
+//     to the non-WAL replay — durability is observability-free (the
+//     property crash recovery rides on), and
 //   * zero heap allocations inside warm delta application — the runtime
 //     half of the zero-allocation warm path (support/alloc_count.hpp).
 //     Enforced when the counting interposer is linked
@@ -38,7 +22,7 @@
 // `--smoke` shrinks the trace for CI wiring checks.
 //
 // With MFA_BENCH_OUT set to a directory, the measurements are written
-// there as BENCH_service_churn.json and BENCH_compile_cache.json.
+// there as BENCH_service_churn.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -50,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "gp/solver.hpp"
 #include "io/serialize.hpp"
 #include "scenario/trace.hpp"
 #include "service/alloc_server.hpp"
@@ -61,25 +44,17 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 struct ReplayStats {
-  std::int64_t newton = 0;  ///< GP Newton iterations spent
-  std::int64_t nodes = 0;   ///< B&B nodes across all events
-  double seconds = 0.0;     ///< wall-clock replay time
+  std::int64_t nodes = 0;  ///< solver nodes across all events
+  double seconds = 0.0;    ///< wall-clock replay time
   double mean_event_ms = 0.0;
   double p50_event_ms = 0.0;
   double p95_event_ms = 0.0;
   double p99_event_ms = 0.0;
   double max_event_ms = 0.0;
   /// Heap allocations inside warm delta application, summed over the
-  /// replay's reprioritize/resize events (0 unless the counting
-  /// interposer is linked; --check gates it at zero when it is).
+  /// replay's reprioritize/resize events (measured only when the
+  /// counting interposer is linked; --check gates it at zero then).
   std::uint64_t warm_allocs = 0;
-  std::int64_t gp_compiles = 0;  ///< full IR lowerings
-  std::int64_t gp_patches = 0;   ///< coefficient patches
-  /// Full recompiles charged to numeric-only (reprioritize/resize)
-  /// events — the --check gate requires zero.
-  std::int64_t numeric_event_compiles = 0;
-  mfa::core::RelaxationCache::Stats relax;
-  mfa::core::CompiledModelCache::Stats model;
   /// Concatenated deterministic outcome JSON, one line per event — the
   /// WAL determinism gate byte-compares these across replays.
   std::string log_digest;
@@ -96,17 +71,12 @@ double percentile(std::vector<double> v, double p) {
 /// One full trace replay. A non-empty `wal_dir` runs the durable path
 /// (AllocServer::open, fsync'd append-before-apply) so the WAL column
 /// prices exactly what the daemon pays.
-ReplayStats replay(const mfa::scenario::Trace& trace, bool warm_start,
+ReplayStats replay(const mfa::scenario::Trace& trace,
                    const std::string& wal_dir = "") {
   mfa::service::ServerOptions options;
-  options.warm_start = warm_start;
   options.wal_dir = wal_dir;
-  // Interior-point root: the effort metric is GP Newton iterations and
-  // the model cache is on the hot path.
-  options.portfolio.gpa.use_interior_point = true;
 
   ReplayStats stats;
-  const std::int64_t newton0 = mfa::gp::total_newton_iterations();
   const auto t0 = Clock::now();
   auto opened = mfa::service::AllocServer::open(trace.platform, options);
   if (!opened.is_ok()) {
@@ -120,12 +90,6 @@ ReplayStats replay(const mfa::scenario::Trace& trace, bool warm_start,
   for (const mfa::service::Event& event : trace.events) {
     const mfa::service::EventOutcome outcome = server.apply(event);
     stats.nodes += outcome.solve.nodes;
-    stats.gp_compiles += outcome.cache.gp_compiles;
-    stats.gp_patches += outcome.cache.gp_patches;
-    if (event.type == mfa::service::Event::Type::kReprioritize ||
-        event.type == mfa::service::Event::Type::kResizePlatform) {
-      stats.numeric_event_compiles += outcome.cache.gp_compiles;
-    }
     stats.warm_allocs += outcome.warm_allocs;
     event_ms.push_back(outcome.seconds * 1e3);
     stats.log_digest += mfa::io::to_json(outcome).dump();
@@ -133,7 +97,6 @@ ReplayStats replay(const mfa::scenario::Trace& trace, bool warm_start,
   }
   server.stop();
   stats.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  stats.newton = mfa::gp::total_newton_iterations() - newton0;
   double total_ms = 0.0;
   for (double ms : event_ms) total_ms += ms;
   stats.mean_event_ms =
@@ -144,12 +107,39 @@ ReplayStats replay(const mfa::scenario::Trace& trace, bool warm_start,
   stats.max_event_ms =
       event_ms.empty() ? 0.0
                        : *std::max_element(event_ms.begin(), event_ms.end());
-  stats.relax = server.cache_stats();
-  stats.model = server.model_cache_stats();
   return stats;
 }
 
-void write_json(const std::string& path, const mfa::io::Json& doc) {
+void emit_json(int events, const ReplayStats& served,
+               const ReplayStats& wal) {
+  const char* dir = std::getenv("MFA_BENCH_OUT");
+  if (dir == nullptr || *dir == '\0') return;
+  using mfa::io::Json;
+  Json doc = Json::object();
+  doc.set("bench", Json::string("service_churn"));
+  doc.set("events", Json::number(events));
+  doc.set("seconds", Json::number(served.seconds));
+  doc.set("mean_event_ms", Json::number(served.mean_event_ms));
+  doc.set("p50_event_ms", Json::number(served.p50_event_ms));
+  doc.set("p95_event_ms", Json::number(served.p95_event_ms));
+  doc.set("p99_event_ms", Json::number(served.p99_event_ms));
+  doc.set("max_event_ms", Json::number(served.max_event_ms));
+  doc.set("nodes", Json::number(static_cast<double>(served.nodes)));
+  // Durability pricing: same configuration, WAL on (fsync).
+  doc.set("wal_seconds", Json::number(wal.seconds));
+  doc.set("wal_mean_event_ms", Json::number(wal.mean_event_ms));
+  doc.set("wal_p95_event_ms", Json::number(wal.p95_event_ms));
+  doc.set("wal_overhead_ratio",
+          Json::number(served.mean_event_ms > 0.0
+                           ? wal.mean_event_ms / served.mean_event_ms
+                           : 0.0));
+  doc.set("wal_log_identical",
+          Json::boolean(wal.log_digest == served.log_digest));
+  doc.set("alloc_counting_linked",
+          Json::boolean(mfa::alloc_counting_linked()));
+  doc.set("warm_allocs",
+          mfa::io::alloc_count_to_json(served.warm_allocs + wal.warm_allocs));
+  const std::string path = std::string(dir) + "/BENCH_service_churn.json";
   const mfa::Status st = mfa::io::write_file(path, doc.dump(2) + "\n");
   if (st.is_ok()) {
     std::printf("wrote %s\n", path.c_str());
@@ -158,138 +148,29 @@ void write_json(const std::string& path, const mfa::io::Json& doc) {
   }
 }
 
-void emit_json(int events, const ReplayStats& cold, const ReplayStats& warm,
-               const ReplayStats& wal) {
-  const char* dir = std::getenv("MFA_BENCH_OUT");
-  if (dir == nullptr || *dir == '\0') return;
-  {
-    mfa::io::Json doc = mfa::io::Json::object();
-    doc.set("bench", mfa::io::Json::string("service_churn"));
-    doc.set("events", mfa::io::Json::number(events));
-    doc.set("cold_newton_iterations",
-            mfa::io::Json::number(static_cast<double>(cold.newton)));
-    doc.set("warm_newton_iterations",
-            mfa::io::Json::number(static_cast<double>(warm.newton)));
-    doc.set("newton_ratio",
-            mfa::io::Json::number(static_cast<double>(cold.newton) /
-                                  static_cast<double>(warm.newton)));
-    doc.set("cold_seconds", mfa::io::Json::number(cold.seconds));
-    doc.set("warm_seconds", mfa::io::Json::number(warm.seconds));
-    doc.set("cold_mean_event_ms", mfa::io::Json::number(cold.mean_event_ms));
-    doc.set("warm_mean_event_ms", mfa::io::Json::number(warm.mean_event_ms));
-    doc.set("cold_nodes",
-            mfa::io::Json::number(static_cast<double>(cold.nodes)));
-    doc.set("warm_nodes",
-            mfa::io::Json::number(static_cast<double>(warm.nodes)));
-    // Durability pricing: same warm configuration, WAL on (fsync).
-    doc.set("wal_seconds", mfa::io::Json::number(wal.seconds));
-    doc.set("wal_mean_event_ms", mfa::io::Json::number(wal.mean_event_ms));
-    doc.set("wal_p95_event_ms", mfa::io::Json::number(wal.p95_event_ms));
-    doc.set("wal_overhead_ratio",
-            mfa::io::Json::number(warm.mean_event_ms > 0.0
-                                      ? wal.mean_event_ms / warm.mean_event_ms
-                                      : 0.0));
-    doc.set("wal_log_identical",
-            mfa::io::Json::boolean(wal.log_digest == warm.log_digest));
-    // Tail latency and the zero-allocation gate's inputs.
-    doc.set("warm_p99_event_ms", mfa::io::Json::number(warm.p99_event_ms));
-    doc.set("warm_max_event_ms", mfa::io::Json::number(warm.max_event_ms));
-    doc.set("alloc_counting_linked",
-            mfa::io::Json::boolean(mfa::alloc_counting_linked()));
-    doc.set("warm_allocs",
-            mfa::io::Json::number(static_cast<double>(
-                cold.warm_allocs + warm.warm_allocs + wal.warm_allocs)));
-    write_json(std::string(dir) + "/BENCH_service_churn.json", doc);
-  }
-  {
-    // Compile-cache economics: how many events paid a full lowering vs
-    // an in-place coefficient patch, and what that did to per-event
-    // latency (p50/p95, warm vs cold).
-    mfa::io::Json doc = mfa::io::Json::object();
-    doc.set("bench", mfa::io::Json::string("compile_cache"));
-    doc.set("events", mfa::io::Json::number(events));
-    for (const auto& [mode, stats] :
-         {std::pair<const char*, const ReplayStats&>{"cold", cold},
-          std::pair<const char*, const ReplayStats&>{"warm", warm}}) {
-      mfa::io::Json row = mfa::io::Json::object();
-      row.set("gp_compiles",
-              mfa::io::Json::number(static_cast<double>(stats.gp_compiles)));
-      row.set("gp_patches",
-              mfa::io::Json::number(static_cast<double>(stats.gp_patches)));
-      row.set("numeric_event_compiles",
-              mfa::io::Json::number(
-                  static_cast<double>(stats.numeric_event_compiles)));
-      row.set("p50_event_ms", mfa::io::Json::number(stats.p50_event_ms));
-      row.set("p95_event_ms", mfa::io::Json::number(stats.p95_event_ms));
-      row.set("p99_event_ms", mfa::io::Json::number(stats.p99_event_ms));
-      row.set("max_event_ms", mfa::io::Json::number(stats.max_event_ms));
-      row.set("mean_event_ms", mfa::io::Json::number(stats.mean_event_ms));
-      row.set("model_cache_hits",
-              mfa::io::Json::number(static_cast<double>(stats.model.hits)));
-      row.set("model_cache_misses",
-              mfa::io::Json::number(static_cast<double>(stats.model.misses)));
-      row.set("model_cache_entries",
-              mfa::io::Json::number(static_cast<double>(stats.model.entries)));
-      row.set("relax_cache_hits",
-              mfa::io::Json::number(static_cast<double>(stats.relax.hits)));
-      doc.set(mode, std::move(row));
-    }
-    write_json(std::string(dir) + "/BENCH_compile_cache.json", doc);
-  }
-}
-
-void print_mode_table(const ReplayStats& cold, const ReplayStats& warm,
-                      const ReplayStats& wal) {
-  const auto row_i = [](const char* name, std::int64_t c, std::int64_t w,
-                        std::int64_t d) {
-    std::printf("%-28s %14lld %14lld %14lld\n", name,
-                static_cast<long long>(c), static_cast<long long>(w),
-                static_cast<long long>(d));
+void print_mode_table(const ReplayStats& served, const ReplayStats& wal) {
+  const auto row_f = [](const char* name, double a, double b) {
+    std::printf("%-28s %14.3f %14.3f\n", name, a, b);
   };
-  const auto row_f = [](const char* name, double c, double w, double d) {
-    std::printf("%-28s %14.3f %14.3f %14.3f\n", name, c, w, d);
-  };
-  std::printf("%-28s %14s %14s %14s\n", "metric", "cold", "warm",
-              "warm+wal");
-  row_i("GP Newton iterations", cold.newton, warm.newton, wal.newton);
-  row_i("B&B nodes", cold.nodes, warm.nodes, wal.nodes);
-  row_f("replay seconds", cold.seconds, warm.seconds, wal.seconds);
-  row_f("mean event latency (ms)", cold.mean_event_ms, warm.mean_event_ms,
-        wal.mean_event_ms);
-  row_f("p50 event latency (ms)", cold.p50_event_ms, warm.p50_event_ms,
-        wal.p50_event_ms);
-  row_f("p95 event latency (ms)", cold.p95_event_ms, warm.p95_event_ms,
-        wal.p95_event_ms);
-  row_f("p99 event latency (ms)", cold.p99_event_ms, warm.p99_event_ms,
-        wal.p99_event_ms);
-  row_f("max event latency (ms)", cold.max_event_ms, warm.max_event_ms,
-        wal.max_event_ms);
+  std::printf("%-28s %14s %14s\n", "metric", "served", "served+wal");
+  std::printf("%-28s %14lld %14lld\n", "solver nodes",
+              static_cast<long long>(served.nodes),
+              static_cast<long long>(wal.nodes));
+  row_f("replay seconds", served.seconds, wal.seconds);
+  row_f("mean event latency (ms)", served.mean_event_ms, wal.mean_event_ms);
+  row_f("p50 event latency (ms)", served.p50_event_ms, wal.p50_event_ms);
+  row_f("p95 event latency (ms)", served.p95_event_ms, wal.p95_event_ms);
+  row_f("p99 event latency (ms)", served.p99_event_ms, wal.p99_event_ms);
+  row_f("max event latency (ms)", served.max_event_ms, wal.max_event_ms);
   if (mfa::alloc_counting_linked()) {
-    row_i("warm-path allocations",
-          static_cast<std::int64_t>(cold.warm_allocs),
-          static_cast<std::int64_t>(warm.warm_allocs),
-          static_cast<std::int64_t>(wal.warm_allocs));
+    std::printf("%-28s %14llu %14llu\n", "warm-path allocations",
+                static_cast<unsigned long long>(served.warm_allocs),
+                static_cast<unsigned long long>(wal.warm_allocs));
   } else {
     // Without the interposer nothing counts allocations; 0 would read
     // as a measurement.
-    std::printf("%-28s %14s %14s %14s\n", "warm-path allocations", "n/a",
-                "n/a", "n/a");
+    std::printf("%-28s %14s %14s\n", "warm-path allocations", "n/a", "n/a");
   }
-  row_i("GP full compiles", cold.gp_compiles, warm.gp_compiles,
-        wal.gp_compiles);
-  row_i("GP coefficient patches", cold.gp_patches, warm.gp_patches,
-        wal.gp_patches);
-  row_i("  of compiles: numeric evts", cold.numeric_event_compiles,
-        warm.numeric_event_compiles, wal.numeric_event_compiles);
-  row_i("model cache hits", static_cast<std::int64_t>(cold.model.hits),
-        static_cast<std::int64_t>(warm.model.hits),
-        static_cast<std::int64_t>(wal.model.hits));
-  row_i("model cache misses", static_cast<std::int64_t>(cold.model.misses),
-        static_cast<std::int64_t>(warm.model.misses),
-        static_cast<std::int64_t>(wal.model.misses));
-  row_i("relaxation cache hits", static_cast<std::int64_t>(cold.relax.hits),
-        static_cast<std::int64_t>(warm.relax.hits),
-        static_cast<std::int64_t>(wal.relax.hits));
 }
 
 }  // namespace
@@ -315,97 +196,55 @@ int main(int argc, char** argv) {
   std::printf("service_churn: %d events, %d-FPGA pool (seed fixed)\n\n",
               events, trace.platform.num_fpgas);
 
-  const ReplayStats cold = replay(trace, /*warm_start=*/false);
-  const ReplayStats warm = replay(trace, /*warm_start=*/true);
+  const ReplayStats served = replay(trace);
 
-  // Durable replay: same warm configuration plus a fsync'd WAL in a
-  // scratch directory, removed afterwards.
+  // Durable replay: same configuration plus a fsync'd WAL in a scratch
+  // directory, removed afterwards.
   char wal_template[] = "/tmp/mfa_churn_wal_XXXXXX";
   const char* wal_dir = ::mkdtemp(wal_template);
   if (wal_dir == nullptr) {
     std::fprintf(stderr, "fatal: mkdtemp failed\n");
     return 1;
   }
-  const ReplayStats wal = replay(trace, /*warm_start=*/true, wal_dir);
+  const ReplayStats wal = replay(trace, wal_dir);
   {
     std::error_code ec;
     std::filesystem::remove_all(wal_dir, ec);
   }
 
-  print_mode_table(cold, warm, wal);
-  const double ratio = static_cast<double>(cold.newton) /
-                       static_cast<double>(warm.newton);
-  const bool wal_identical = wal.log_digest == warm.log_digest;
-  std::printf("\nheadline: warm re-solves use %.2fx fewer GP Newton "
-              "iterations than cold; %lld/%lld warm solves were "
-              "patch-only (zero recompiles on numeric events: %s)\n",
-              ratio, static_cast<long long>(warm.gp_patches),
-              static_cast<long long>(warm.gp_patches + warm.gp_compiles),
-              warm.numeric_event_compiles == 0 &&
-                      cold.numeric_event_compiles == 0
-                  ? "yes"
-                  : "NO");
-  std::printf("durability: WAL replay %.2fx warm mean event latency, "
-              "event log byte-identical: %s\n",
-              warm.mean_event_ms > 0.0
-                  ? wal.mean_event_ms / warm.mean_event_ms
+  print_mode_table(served, wal);
+  const bool wal_identical = wal.log_digest == served.log_digest;
+  std::printf("\nheadline: %.3f ms mean, %.3f ms p99 per event; WAL replay "
+              "%.2fx the mean, event log byte-identical: %s\n",
+              served.mean_event_ms, served.p99_event_ms,
+              served.mean_event_ms > 0.0
+                  ? wal.mean_event_ms / served.mean_event_ms
                   : 0.0,
               wal_identical ? "yes" : "NO");
-  emit_json(events, cold, warm, wal);
-  if (check) {
-    int rc = 0;
-    if (warm.newton >= cold.newton) {
-      std::printf("FAIL: warm starts did not reduce Newton iterations\n");
-      rc = 1;
-    }
-    if (cold.numeric_event_compiles != 0 ||
-        warm.numeric_event_compiles != 0) {
-      std::printf("FAIL: reprioritize/resize events triggered %lld full GP "
-                  "recompiles (expected 0)\n",
-                  static_cast<long long>(cold.numeric_event_compiles +
-                                         warm.numeric_event_compiles));
-      rc = 1;
-    }
-    if (!wal_identical) {
-      std::printf("FAIL: WAL-enabled replay produced a different event log "
-                  "(durability must be byte-transparent)\n");
-      rc = 1;
-    }
-    // Zero-allocation warm path: with the counting interposer linked
-    // (-DMFA_COUNT_ALLOC=ON), no reprioritize/resize delta may allocate.
-    // The static half is mfa_lint's suppression-free warm-path-alloc
-    // rule; this is the runtime witness.
-    if (mfa::alloc_counting_linked()) {
-      const std::uint64_t total_warm_allocs =
-          cold.warm_allocs + warm.warm_allocs + wal.warm_allocs;
-      if (total_warm_allocs != 0) {
-        std::printf("FAIL: warm deltas performed %llu heap allocations "
-                    "(expected 0)\n",
-                    static_cast<unsigned long long>(total_warm_allocs));
-        rc = 1;
-      }
-    } else {
-      std::printf("note: zero-allocation gate skipped — counting "
-                  "interposer not linked (build with -DMFA_COUNT_ALLOC=ON "
-                  "to enable it)\n");
-    }
-    // Every full IR lowering must be accounted for by a compiled-model
-    // cache miss: a compile the cache never saw would mean some path
-    // rebuilds structures behind the cache's back (and would erode the
-    // patch-only economics the PR-5 split promises).
-    for (const auto& [mode, stats] :
-         {std::pair<const char*, const ReplayStats&>{"cold", cold},
-          std::pair<const char*, const ReplayStats&>{"warm", warm},
-          std::pair<const char*, const ReplayStats&>{"warm+wal", wal}}) {
-      if (stats.gp_compiles != static_cast<std::int64_t>(stats.model.misses)) {
-        std::printf("FAIL: %s replay performed %lld structure compiles but "
-                    "the model cache recorded %lld misses (hidden compiles)\n",
-                    mode, static_cast<long long>(stats.gp_compiles),
-                    static_cast<long long>(stats.model.misses));
-        rc = 1;
-      }
-    }
-    return rc;
+  emit_json(events, served, wal);
+  if (!check) return 0;
+  int rc = 0;
+  if (!wal_identical) {
+    std::printf("FAIL: WAL-enabled replay produced a different event log "
+                "(durability must be byte-transparent)\n");
+    rc = 1;
   }
-  return 0;
+  // Zero-allocation warm path: with the counting interposer linked
+  // (-DMFA_COUNT_ALLOC=ON), no reprioritize/resize delta may allocate.
+  // The static half is mfa_lint's suppression-free warm-path-alloc rule;
+  // this is the runtime witness.
+  if (mfa::alloc_counting_linked()) {
+    const std::uint64_t total = served.warm_allocs + wal.warm_allocs;
+    if (total != 0) {
+      std::printf("FAIL: warm deltas performed %llu heap allocations "
+                  "(expected 0)\n",
+                  static_cast<unsigned long long>(total));
+      rc = 1;
+    }
+  } else {
+    std::printf("note: zero-allocation gate skipped — counting interposer "
+                "not linked (build with -DMFA_COUNT_ALLOC=ON to enable "
+                "it)\n");
+  }
+  return rc;
 }

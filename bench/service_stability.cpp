@@ -80,7 +80,6 @@ double percentile(std::vector<double> v, double p) {
 
 ReplayStats replay(const mfa::scenario::Trace& trace, const ModeSpec& mode) {
   mfa::service::ServerOptions options;
-  options.warm_start = true;
   options.max_moves = mode.max_moves;
   options.max_disturbed = mode.max_disturbed;
   options.move_cost = mode.move_cost;

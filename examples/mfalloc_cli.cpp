@@ -344,8 +344,6 @@ int cmd_serve(const ArgParser& args) {
   }
 
   mfa::service::ServerOptions options;
-  options.warm_start = !args.flag_set("cold");
-  options.portfolio.gpa.use_interior_point = args.flag_set("interior-point");
   options.portfolio.run_exact = args.flag_set("exact");
   const auto jobs = args.int_or("jobs", options.solver_threads, 0, 4096);
   if (!jobs.is_ok()) return flag_error(args, jobs.status());
@@ -373,7 +371,6 @@ int cmd_serve(const ArgParser& args) {
   mfa::io::Json doc = mfa::io::Json::object();
   doc.set("events",
           mfa::io::Json::number(static_cast<double>(outcomes.size())));
-  doc.set("warm_start", mfa::io::Json::boolean(options.warm_start));
   double total_s = 0.0;
   double max_s = 0.0;
   mfa::io::Json per_event = mfa::io::Json::array();
@@ -389,20 +386,6 @@ int cmd_serve(const ArgParser& args) {
                                     ? 0.0
                                     : 1e3 * total_s / outcomes.size()));
   doc.set("max_latency_ms", mfa::io::Json::number(1e3 * max_s));
-  const auto cache = server.cache_stats();
-  doc.set("cache_hits",
-          mfa::io::Json::number(static_cast<double>(cache.hits)));
-  doc.set("cache_entries",
-          mfa::io::Json::number(static_cast<double>(cache.entries)));
-  doc.set("cache_evictions",
-          mfa::io::Json::number(static_cast<double>(cache.evictions)));
-  const auto models = server.model_cache_stats();
-  doc.set("model_cache_hits",
-          mfa::io::Json::number(static_cast<double>(models.hits)));
-  doc.set("model_cache_entries",
-          mfa::io::Json::number(static_cast<double>(models.entries)));
-  doc.set("model_cache_evictions",
-          mfa::io::Json::number(static_cast<double>(models.evictions)));
   doc.set("per_event", std::move(per_event));
   std::printf("%s\n", doc.dump(2).c_str());
 

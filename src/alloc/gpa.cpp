@@ -16,11 +16,12 @@ StatusOr<GpaResult> GpaSolver::solve(const core::Problem& problem) const {
   const Status valid = problem.validate();
   if (!valid.is_ok()) return valid;
 
-  // ---- Step 1: continuous relaxation (paper §3.2.1), memoized when a
-  // shared cache is configured (portfolio lanes solve identical roots),
-  // warm-started from options_.warm when set (the root bisection probes
-  // the seed ÎI once; the interior-point path seeds the barrier). Cache
-  // keys fold the seed in, so warm and cold entries never alias.
+  // ---- Step 1: continuous relaxation (paper §3.2.1), the reported
+  // lower bound ÎI. Memoized when a shared cache is configured (portfolio
+  // lanes solve identical roots), warm-started from options_.warm when
+  // set (the root bisection probes the seed ÎI once; the interior-point
+  // path seeds the barrier). Cache keys fold the seed in, so warm and
+  // cold entries never alias.
   auto t0 = std::chrono::steady_clock::now();
   // The interior-point seed needs a full (ÎI, N̂) point of the right
   // shape; the bisection hint only needs ÎI.
@@ -44,9 +45,7 @@ StatusOr<GpaResult> GpaSolver::solve(const core::Problem& problem) const {
                  : core::solve_relaxation_gp(problem, options_.gp,
                                              model_cache);
     }
-    return core::solve_relaxation(problem,
-                                  core::CuBounds::defaults(problem),
-                                  warm != nullptr ? warm->ii : 0.0);
+    return core::solve_relaxation(problem, warm != nullptr ? warm->ii : 0.0);
   };
   StatusOr<core::RelaxedSolution> relaxed = [&]() {
     if (relax_cache == nullptr) return solve_root();
@@ -57,7 +56,6 @@ StatusOr<GpaResult> GpaSolver::solve(const core::Problem& problem) const {
                                                    *warm)
                    : core::relaxation_gp_cache_key(problem, options_.gp))
             : core::relaxation_cache_key(problem,
-                                         core::CuBounds::defaults(problem),
                                          warm != nullptr ? warm->ii : 0.0);
     return StatusOr<core::RelaxedSolution>(
         *relax_cache->get_or_solve(key, solve_root));
@@ -65,24 +63,41 @@ StatusOr<GpaResult> GpaSolver::solve(const core::Problem& problem) const {
   const double seconds_relax = seconds_since(t0);
   if (!relaxed.is_ok()) return relaxed.status();
 
-  // ---- Step 2: branch-and-bound discretization (§3.2.2, first half).
+  // ---- Step 2: discretization (§3.2.2, first half): the first
+  // candidate II whose minimal totals fit the pooled caps. It does not
+  // read the relaxation; step 1's ÎI is only the reported lower bound.
   t0 = std::chrono::steady_clock::now();
-  solver::DiscretizeOptions discretize_options = options_.discretize;
-  if (discretize_options.cache == nullptr) {
-    discretize_options.cache = relax_cache;
-  }
-  solver::Discretizer discretizer(discretize_options);
-  StatusOr<solver::DiscretizeResult> discrete =
-      discretizer.run(problem, relaxed.value());
+  StatusOr<solver::DiscretizeResult> discrete = solver::discretize(problem);
   const double seconds_discretize = seconds_since(t0);
   if (!discrete.is_ok()) return discrete.status();
 
-  // ---- Step 3: greedy allocation (Algorithm 1).
+  // ---- Step 3: greedy allocation (Algorithm 1). Its criticality order
+  // depends on the totals, so it can leave a kernel without a CU where a
+  // placement exists (a spare CU elsewhere reorders it into success).
+  // When it does, one CU per kernel is packed exactly under a node-only
+  // budget (never wall clock, so the outcome is deterministic) and
+  // Algorithm 1 places the rest of the totals around that seed.
   t0 = std::chrono::steady_clock::now();
   GreedyAllocator allocator(options_.greedy);
   StatusOr<GreedyResult> greedy =
       allocator.allocate(problem, discrete.value().totals);
-  if (!greedy.is_ok()) return greedy.status();
+  std::int64_t placement_nodes = 0;
+  if (!greedy.is_ok()) {
+    solver::Budget budget = solver::Budget::nodes_only(kPlacementNodes);
+    const solver::PackingResult ones = solver::PackingSolver(problem).pack(
+        std::vector<int>(problem.num_kernels(), 1),
+        solver::PackingMode::kFeasibility, budget);
+    placement_nodes = budget.nodes_used();
+    if (!ones.feasible) {
+      return ones.proved_optimal
+                 ? Status{Code::kInfeasible,
+                          "no placement with one CU per kernel exists"}
+                 : Status{Code::kLimit,
+                          "the N_k = 1 packing ran out of its node budget"};
+    }
+    greedy = allocator.allocate_around(problem, discrete.value().totals,
+                                       *ones.allocation);
+  }
   core::Allocation allocation = std::move(greedy.value().allocation);
 
   // ---- Step 4 (optional): migration-aware repack. Re-place the CUs the
@@ -119,7 +134,8 @@ StatusOr<GpaResult> GpaSolver::solve(const core::Problem& problem) const {
                    discrete.value().ii,
                    discrete.value().totals,
                    greedy.value().used_fraction,
-                   discrete.value().nodes,
+                   discrete.value().probes,
+                   placement_nodes,
                    stability_applied,
                    seconds_relax,
                    seconds_discretize,

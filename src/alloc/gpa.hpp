@@ -1,9 +1,16 @@
 // GP+A — the paper's end-to-end heuristic (§3.2).
 //
-// Pipeline: continuous relaxation (GP) → branch-and-bound discretization
-// of N̂_k → greedy allocation (Algorithm 1). Each stage's wall-clock time
-// is recorded separately so the runtime comparison of §4 ("0.78 s to
-// 4.4 s, 100–1000× faster than MINLP") can be reproduced.
+// Pipeline: continuous relaxation (GP) → discretization of the CU totals
+// → greedy allocation (Algorithm 1). The relaxation's ÎI is reported as
+// the lower bound; the integral totals come from the candidate threshold
+// (solver/candidates.hpp), the exact optimum the paper's branch-and-bound
+// rounding searches for. Where Algorithm 1 leaves a kernel without a CU,
+// one CU per kernel is packed exactly (solver/packing.hpp) and Algorithm
+// 1 places the rest around it, so GP+A fails only where one CU per
+// kernel does not fit at R, or that packing's node budget ran out. Each
+// stage's wall-clock time is recorded separately so the runtime
+// comparison of §4 ("0.78 s to 4.4 s, 100–1000× faster than MINLP") can
+// be reproduced.
 #pragma once
 
 #include <optional>
@@ -13,7 +20,7 @@
 #include "core/problem.hpp"
 #include "core/relaxation.hpp"
 #include "core/solver_context.hpp"
-#include "solver/discretize.hpp"
+#include "solver/candidates.hpp"
 #include "solver/packing.hpp"
 #include "support/status.hpp"
 
@@ -25,19 +32,19 @@ struct GpaOptions {
   /// the same N̂_k to tolerance; bisection is the faster default.
   bool use_interior_point = false;
 
-  /// Warm start for the *root* relaxation, typically a related solve's
-  /// (ÎI, N̂) — the allocation service seeds each event's re-solve from
-  /// its incumbent. Bisection probes warm->ii once as a bracket end;
-  /// the interior-point path seeds the barrier from the full point.
-  /// Always safe: a useless seed only costs the probe. Cache keys fold
-  /// the seed in, so warm entries never alias cold ones.
+  /// Warm start for the root relaxation, typically a related solve's
+  /// (ÎI, N̂). Bisection probes warm->ii once as a bracket end; the
+  /// interior-point path seeds the barrier from the full point. Always
+  /// safe: a useless seed only costs the probe, and the integral totals
+  /// never depend on it. Cache keys fold the seed in, so warm entries
+  /// never alias cold ones.
   std::optional<core::RelaxedSolution> warm;
 
   /// Shared solver resources (caches, budget, pool) — the single wiring
-  /// point; see core/solver_context.hpp. Not owned. The root solve and
-  /// every branch-and-bound node go through the context's relaxation
-  /// cache, and the interior-point root through its compiled-model
-  /// cache; both are byte-transparent accelerations.
+  /// point; see core/solver_context.hpp. Not owned. The root solve goes
+  /// through the context's relaxation cache, and the interior-point
+  /// root through its compiled-model cache; both are byte-transparent
+  /// accelerations.
   const core::SolverContext* context = nullptr;
 
   /// Migration-aware re-solve (lives next to the caches: the online
@@ -51,19 +58,22 @@ struct GpaOptions {
   const solver::StabilityOptions* stability = nullptr;
 
   gp::SolverOptions gp;
-  solver::DiscretizeOptions discretize;
   GreedyOptions greedy;
 };
 
 struct GpaResult {
   core::Allocation allocation;   ///< final feasible placement
   double relaxed_ii = 0.0;       ///< ÎI from the GP step (lower bound)
-  std::vector<double> relaxed_n; ///< N̂_k from the GP step (with ÎI: the
-                                 ///< warm seed for a neighboring solve)
+  std::vector<double> relaxed_n; ///< N̂_k from the GP step
   double discrete_ii = 0.0;      ///< II after discretization (pre-alloc)
   std::vector<int> totals;       ///< discretized N_k
   double used_fraction = 0.0;    ///< R_c the allocator ended at
+  /// Feasibility probes the discretization made (solver::discretize).
   std::int64_t discretize_nodes = 0;
+  /// Nodes of the exact N_k = 1 packing that seeds Algorithm 1 when its
+  /// own run leaves a kernel without a CU (0 when that run placed every
+  /// kernel).
+  std::int64_t placement_nodes = 0;
   /// True when GpaOptions::stability was constrained and the migration-
   /// aware repack replaced the greedy placement.
   bool stability_applied = false;
@@ -76,12 +86,19 @@ struct GpaResult {
   }
 };
 
+/// Node budget of the exact N_k = 1 packing that seeds Algorithm 1 where
+/// its own run fails (GpaResult::placement_nodes). Past it, GP+A reports
+/// kLimit rather than a heuristic infeasibility.
+inline constexpr std::int64_t kPlacementNodes = 200'000;
+
 class GpaSolver {
  public:
   explicit GpaSolver(GpaOptions options = {}) : options_(options) {}
 
-  /// Runs GP → discretize → allocate. kInfeasible propagates from any
-  /// stage (pooled constraints, integrality, or Algorithm 1 within T).
+  /// Runs GP → discretize → allocate. kInfeasible propagates from the
+  /// pooled constraints or, when Algorithm 1 fails, from an exact
+  /// packing that proved one CU per kernel does not fit at R; kLimit
+  /// when that packing ran out of kPlacementNodes first.
   [[nodiscard]] StatusOr<GpaResult> solve(const core::Problem& problem) const;
 
  private:

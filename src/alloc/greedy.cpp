@@ -168,6 +168,16 @@ class Attempt {
     }
   }
 
+  /// Places every CU of `base` on its FPGA, before any pass runs.
+  void seed(const Allocation& base) {
+    for (FpgaState& s : fpgas_) {
+      for (std::size_t k = 0; k < p_.num_kernels(); ++k) {
+        const int count = base.cu(k, s.index);
+        if (count > 0) place(k, s, count);
+      }
+    }
+  }
+
   [[nodiscard]] int leftover() const {
     int acc = 0;
     for (int r : remaining_) acc += r;
@@ -344,6 +354,18 @@ core::Fingerprint greedy_cache_key(const core::Problem& problem,
   key.mix(options.delta);
   key.mix(std::uint64_t{0x92eed1});  // algorithm tag: greedy placement
   return key;
+}
+
+GreedyResult GreedyAllocator::allocate_around(
+    const Problem& problem, const std::vector<int>& totals,
+    const Allocation& seed) const {
+  MFA_ASSERT(totals.size() == problem.num_kernels());
+  const double rc = std::min(problem.resource_fraction, 1.0);
+  Attempt attempt(problem, totals, rc);
+  attempt.seed(seed);
+  attempt.main_pass(/*singles_first=*/false);
+  const int dropped = attempt.leftover();
+  return GreedyResult{attempt.take_allocation(), rc, 1, dropped};
 }
 
 double escalation_ceiling(const core::Problem& problem,

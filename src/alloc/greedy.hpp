@@ -34,7 +34,9 @@
 //    R_c = R+T they are *dropped* and II is computed from the CUs
 //    actually placed. This is what makes GP+A sit slightly above MINLP
 //    at tight constraints (Figs. 3–5) instead of failing. The only
-//    failure mode is a kernel ending with zero CUs (eq. 8).
+//    failure mode is a kernel ending with zero CUs (eq. 8); GpaSolver
+//    (alloc/gpa.hpp) then packs one CU per kernel exactly and runs
+//    allocate_around() on that seed.
 #pragma once
 
 #include <vector>
@@ -117,6 +119,15 @@ class GreedyAllocator {
   /// check against used_fraction. It never exceeds the platform capacity.
   [[nodiscard]] StatusOr<GreedyResult> allocate(
       const core::Problem& problem, const std::vector<int>& totals) const;
+
+  /// Algorithm 1 around a fixed placement: `seed`'s CUs are placed
+  /// first, then the rest of `totals` in the usual criticality order at
+  /// R_c = R, dropping what does not fit. Requires seed.total_cu(k) ≤
+  /// totals[k]. GpaSolver seeds it with an exact N_k = 1 packing where
+  /// allocate() leaves a kernel without a CU, so no kernel ends empty.
+  [[nodiscard]] GreedyResult allocate_around(
+      const core::Problem& problem, const std::vector<int>& totals,
+      const core::Allocation& seed) const;
 
  private:
   GreedyOptions options_;

@@ -1,7 +1,5 @@
 #include "core/fingerprint.hpp"
 
-#include "core/relaxation.hpp"
-
 namespace mfa::core {
 
 Fingerprint relaxation_fingerprint(const Problem& problem) {
@@ -38,12 +36,6 @@ Fingerprint relaxation_fingerprint(const Problem& problem) {
     }
   }
   return fp;
-}
-
-void mix_bounds(Fingerprint& fp, const CuBounds& bounds) {
-  fp.mix(static_cast<std::uint64_t>(bounds.lower.size()));
-  for (double v : bounds.lower) fp.mix(v);
-  for (double v : bounds.upper) fp.mix(v);
 }
 
 }  // namespace mfa::core

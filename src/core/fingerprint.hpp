@@ -26,10 +26,4 @@ using ::mfa::Fingerprint;
 /// per-FPGA sequence for a mixed one. Names and weights are excluded.
 Fingerprint relaxation_fingerprint(const Problem& problem);
 
-struct CuBounds;  // core/relaxation.hpp
-
-/// Folds per-kernel CU bounds into an existing fingerprint (used to key
-/// branch-and-bound node relaxations).
-void mix_bounds(Fingerprint& fp, const CuBounds& bounds);
-
 }  // namespace mfa::core

@@ -1,15 +1,14 @@
 // Thread-safe memoization cache for continuous-relaxation solves.
 //
-// Sweeps and solver portfolios hammer thousands of *identical* relaxation
-// subproblems: distinct GP+A lanes of a portfolio (R < 1; equal-ceiling
-// lanes run once) solve the same root relaxation and walk the same
-// branch-and-bound tree, and batch grids
-// repeat instances across methods. The cache memoizes those solves by a
+// Sweeps and solver portfolios repeat *identical* relaxation solves:
+// distinct GP+A lanes of a portfolio (R < 1; equal-ceiling lanes run
+// once) solve the same root relaxation, and batch grids repeat
+// instances across methods. The cache memoizes those solves by a
 // 128-bit fingerprint of everything the result depends on (problem,
 // bounds, warm-start hint, algorithm tag — see core/fingerprint.hpp).
+// The allocation service does not use it.
 //
-// Both feasible solutions and infeasibility proofs are cached (branch-
-// and-bound prunes through infeasible nodes constantly).
+// Both feasible solutions and infeasibility proofs are cached.
 //
 // The cache machinery itself — sharding, FIFO bounding, first-writer-
 // wins insertion, the determinism contract — is the generic

@@ -2,49 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <utility>
 
 #include "core/fingerprint.hpp"
 
 namespace mfa::core {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Cheapest N̂ meeting target t under bounds: max(L_k, WCET_k/t),
-/// written into a caller-owned buffer so the bisection's ~200 probes per
-/// solve share one allocation.
-void cheapest_n_into(const Problem& p, const CuBounds& b, double t,
-                     std::vector<double>& n) {
+/// Cheapest N̂ meeting target t: max(1, WCET_k/t), written into a
+/// caller-owned buffer so the bisection's ~200 probes per solve share
+/// one allocation.
+void cheapest_n_into(const Problem& p, double t, std::vector<double>& n) {
   n.resize(p.num_kernels());
   for (std::size_t k = 0; k < p.num_kernels(); ++k) {
-    n[k] = std::max(b.lower[k], p.app.kernels[k].wcet_ms / t);
+    n[k] = std::max(1.0, p.app.kernels[k].wcet_ms / t);
   }
 }
 
-/// Scratch for one bisection solve, reused across calls on the same
-/// thread. Keyed by the problem's structural identity in the only way
-/// the bisection cares about — the kernel count — so a thread hammering
-/// one branch-and-bound tree (every node shares the root's kernel set)
-/// never reallocates after the first solve. resize() is a no-op when the
-/// size already matches, so switching problems just resizes once.
-struct BisectionWorkspace {
-  std::vector<double> n;
-};
-
-BisectionWorkspace& bisection_workspace() {
-  thread_local BisectionWorkspace ws;
-  return ws;
-}
-
-/// Pooled resource feasibility of a candidate N̂ (eqs. 17–18 with bounds).
+/// Pooled resource and bandwidth feasibility of totals `n` (eqs. 17–18).
 /// Pooled capacity is Σ_f R_f — F·R on homogeneous platforms (bit-equal
 /// to the seed arithmetic), the class-weighted sum on mixed ones.
-bool pooled_feasible(const Problem& p, const CuBounds& b,
-                     const std::vector<double>& n) {
-  for (std::size_t k = 0; k < p.num_kernels(); ++k) {
-    if (n[k] > b.upper[k] * (1.0 + 1e-12) + 1e-12) return false;
-  }
+template <typename N>
+bool fits_pooled_caps_impl(const Problem& p, const std::vector<N>& n) {
   const ResourceVec pooled = p.pooled_cap();
   for (std::size_t axis = 0; axis < kNumResources; ++axis) {
     double used = 0.0;
@@ -62,60 +41,43 @@ bool pooled_feasible(const Problem& p, const CuBounds& b,
 
 }  // namespace
 
-CuBounds CuBounds::defaults(const Problem& problem) {
-  CuBounds b;
-  b.lower.assign(problem.num_kernels(), 1.0);
-  b.upper.resize(problem.num_kernels());
+bool fits_pooled_caps(const Problem& problem, const std::vector<int>& n) {
+  return fits_pooled_caps_impl(problem, n);
+}
+
+/// True when some kernel fits on no FPGA (max_cu_total(k) = 0): the box
+/// [1, max_cu_total(k)] is empty.
+bool some_kernel_fits_nowhere(const Problem& problem) {
   for (std::size_t k = 0; k < problem.num_kernels(); ++k) {
-    const int cap = problem.max_cu_total(k);
-    b.upper[k] = cap > 0 ? static_cast<double>(cap) : 0.0;
+    if (problem.max_cu_total(k) < 1) return true;
   }
-  return b;
+  return false;
 }
 
 StatusOr<RelaxedSolution> solve_relaxation(const Problem& problem,
-                                           const CuBounds& bounds,
                                            double ii_hint) {
-  RelaxedSolution sol;
-  if (Status st = solve_relaxation_into(problem, bounds, ii_hint, sol);
-      !st.is_ok()) {
-    return st;
-  }
-  return sol;
-}
-
-Status solve_relaxation_into(const Problem& problem, const CuBounds& bounds,
-                             double ii_hint, RelaxedSolution& out) {
-  MFA_ASSERT(bounds.lower.size() == problem.num_kernels());
-  MFA_ASSERT(bounds.upper.size() == problem.num_kernels());
-  for (std::size_t k = 0; k < problem.num_kernels(); ++k) {
-    MFA_ASSERT_MSG(bounds.lower[k] >= 0.0, "negative CU lower bound");
-    if (bounds.lower[k] > bounds.upper[k]) {
-      return Status{Code::kInfeasible, "empty CU bound interval"};
-    }
+  if (some_kernel_fits_nowhere(problem)) {
+    return Status{Code::kInfeasible, "a kernel fits on no FPGA"};
   }
 
   // Bracket the optimum: below t_lo some kernel cannot meet the target
-  // even at its upper bound; above t_hi the cheapest N̂ stops changing.
+  // even at max_cu_total(k) CUs; above t_hi every N̂_k is 1. Inside the
+  // bracket WCET_k/t never exceeds max_cu_total(k), so only the pooled
+  // caps decide feasibility.
   double t_lo = 0.0;
   double t_hi = 0.0;
   for (std::size_t k = 0; k < problem.num_kernels(); ++k) {
     const double wcet = problem.app.kernels[k].wcet_ms;
-    if (bounds.upper[k] > 0.0 && std::isfinite(bounds.upper[k])) {
-      t_lo = std::max(t_lo, wcet / bounds.upper[k]);
-    }
-    t_hi = std::max(t_hi, wcet / std::max(bounds.lower[k], 1e-12));
+    t_lo = std::max(t_lo, wcet / problem.max_cu_total(k));
+    t_hi = std::max(t_hi, wcet);
   }
   if (t_lo == 0.0) t_lo = 1e-12;
   t_hi = std::max(t_hi, t_lo);
 
-  // Every probe shares the thread-local scratch; the feasibility
-  // arithmetic is unchanged, so results stay bit-identical to the
-  // allocating version.
-  std::vector<double>& n = bisection_workspace().n;
+  std::vector<double> n;  // every probe shares this buffer
   auto feasible_at = [&](double t) {
-    cheapest_n_into(problem, bounds, t, n);
-    return pooled_feasible(problem, bounds, n);
+    cheapest_n_into(problem, t, n);
+    return fits_pooled_caps_impl(problem, n);
   };
 
   if (!feasible_at(t_hi)) {
@@ -123,13 +85,13 @@ Status solve_relaxation_into(const Problem& problem, const CuBounds& bounds,
                   "pooled resource constraints violated at minimum CUs"};
   }
 
+  RelaxedSolution out;
   if (feasible_at(t_lo)) {
-    out.ii = t_lo;  // bound-limited: cannot go below t_lo by construction
+    out.ii = t_lo;  // box-limited: cannot go below t_lo by construction
   } else {
     // Monotone bisection: infeasible at lo, feasible at hi. A warm hint
     // inside the bracket is probed once and replaces the matching end,
-    // preserving both invariants; branch-and-bound children seed this
-    // with the parent's ÎI (a valid lower bound after tightening).
+    // preserving both invariants.
     double lo = t_lo;
     double hi = t_hi;
     if (ii_hint > lo && ii_hint < hi) {
@@ -149,24 +111,12 @@ Status solve_relaxation_into(const Problem& problem, const CuBounds& bounds,
     }
     out.ii = hi;
   }
-  cheapest_n_into(problem, bounds, out.ii, n);
-  // Copy-assignment from the scratch reuses out's capacity — same-size
-  // callers (every node of one branch-and-bound tree) never allocate.
-  out.n_hat = n;
-  return Status::ok();
+  cheapest_n_into(problem, out.ii, n);
+  out.n_hat = std::move(n);
+  return out;
 }
 
-StatusOr<RelaxedSolution> solve_relaxation(const Problem& problem,
-                                           const CuBounds& bounds) {
-  return solve_relaxation(problem, bounds, /*ii_hint=*/0.0);
-}
-
-StatusOr<RelaxedSolution> solve_relaxation(const Problem& problem) {
-  return solve_relaxation(problem, CuBounds::defaults(problem));
-}
-
-gp::GpProblem build_relaxation_gp(const Problem& problem,
-                                  const CuBounds& bounds) {
+gp::GpProblem build_relaxation_gp(const Problem& problem) {
   using gp::Monomial;
   using gp::Posynomial;
 
@@ -186,19 +136,17 @@ gp::GpProblem build_relaxation_gp(const Problem& problem,
     model.add_le1(Monomial(kern.wcet_ms) * Monomial::var(ii).inverse() *
                       Monomial::var(n_vars[k]).inverse(),
                   "latency " + kern.name);
-    // L_k / N_k ≤ 1 (eq. 16 generalized to the node lower bound) and
-    // N_k / U_k ≤ 1 for finite node upper bounds. Both carry a relative
-    // 1e-9 slack so a collapsed interval L = U (an equality, common when
-    // capacity allows exactly one CU) keeps a strict interior for the
-    // barrier method; the optimum shifts by O(1e-9) at most.
+    // 1 / N_k ≤ 1 (eq. 16) and N_k / max_cu_total(k) ≤ 1. Both carry a
+    // relative 1e-9 slack so a collapsed box (a kernel with room for
+    // exactly one CU) keeps a strict interior for the barrier method;
+    // the optimum shifts by O(1e-9) at most.
     constexpr double kBoundSlack = 1e-9;
-    if (bounds.lower[k] > 0.0) {
-      model.add_le1(Monomial(bounds.lower[k] * (1.0 - kBoundSlack)) *
-                        Monomial::var(n_vars[k]).inverse(),
-                    "min CU " + kern.name);
-    }
-    if (std::isfinite(bounds.upper[k]) && bounds.upper[k] > 0.0) {
-      model.add_le1(Monomial(1.0 / (bounds.upper[k] * (1.0 + kBoundSlack))) *
+    model.add_le1(Monomial(1.0 - kBoundSlack) *
+                      Monomial::var(n_vars[k]).inverse(),
+                  "min CU " + kern.name);
+    const int upper = problem.max_cu_total(k);
+    if (upper > 0) {
+      model.add_le1(Monomial(1.0 / (upper * (1.0 + kBoundSlack))) *
                         Monomial::var(n_vars[k]),
                     "max CU " + kern.name);
     }
@@ -275,13 +223,10 @@ StatusOr<RelaxedSolution> solve_gp_impl(const Problem& problem,
                                         const gp::SolverOptions& options,
                                         const RelaxedSolution* warm,
                                         CompiledModelCache* models) {
-  const CuBounds bounds = CuBounds::defaults(problem);
-  for (std::size_t k = 0; k < problem.num_kernels(); ++k) {
-    if (bounds.lower[k] > bounds.upper[k]) {
-      return Status{Code::kInfeasible, "empty CU bound interval"};
-    }
+  if (some_kernel_fits_nowhere(problem)) {
+    return Status{Code::kInfeasible, "a kernel fits on no FPGA"};
   }
-  gp::GpProblem model = build_relaxation_gp(problem, bounds);
+  gp::GpProblem model = build_relaxation_gp(problem);
   gp::GpSolution gp_sol;
   if (warm != nullptr && warm->n_hat.size() == problem.num_kernels() &&
       warm->ii > 0.0) {
@@ -292,11 +237,8 @@ StatusOr<RelaxedSolution> solve_gp_impl(const Problem& problem,
     std::vector<double> x0(1 + problem.num_kernels());
     x0[0] = warm->ii * 1.05;
     for (std::size_t k = 0; k < problem.num_kernels(); ++k) {
-      x0[1 + k] =
-          std::clamp(warm->n_hat[k], bounds.lower[k],
-                     std::isfinite(bounds.upper[k]) && bounds.upper[k] > 0.0
-                         ? bounds.upper[k]
-                         : warm->n_hat[k]);
+      x0[1 + k] = std::clamp(warm->n_hat[k], 1.0,
+                             static_cast<double>(problem.max_cu_total(k)));
     }
     // A barrier restarted at a small t first drags a near-optimal seed
     // back to the analytic center, wasting the whole warm start. Open
@@ -341,10 +283,8 @@ StatusOr<RelaxedSolution> solve_relaxation_gp(const Problem& problem,
   return solve_gp_impl(problem, options, &warm, models);
 }
 
-Fingerprint relaxation_cache_key(const Problem& problem,
-                                 const CuBounds& bounds, double ii_hint) {
+Fingerprint relaxation_cache_key(const Problem& problem, double ii_hint) {
   Fingerprint key = relaxation_fingerprint(problem);
-  mix_bounds(key, bounds);
   key.mix(ii_hint);
   key.mix(std::uint64_t{0xb15ec7});  // algorithm tag: bisection
   return key;
@@ -358,7 +298,6 @@ Fingerprint relaxation_gp_cache_key(const Problem& problem,
   static_assert(sizeof(gp::SolverOptions) == 9 * sizeof(double),
                 "SolverOptions changed: update relaxation_gp_cache_key");
   Fingerprint key = relaxation_fingerprint(problem);
-  mix_bounds(key, CuBounds::defaults(problem));
   key.mix(options.tolerance);
   key.mix(options.t0);
   key.mix(options.mu);

@@ -9,11 +9,11 @@
 //
 // Two independent solvers are provided:
 //  * solve()    — exact bisection on the target ÎI. For a target t the
-//                 cheapest feasible choice is N̂_k(t) = max(L_k, WCET_k/t)
+//                 cheapest feasible choice is N̂_k(t) = max(1, WCET_k/t)
 //                 and resource use is monotone in t, so feasibility is a
 //                 monotone predicate. This is the paper's "GP step" in
-//                 closed form, and it accepts per-kernel bounds, which is
-//                 what the discretizer's branch-and-bound nodes need.
+//                 closed form. Its ÎI is the lower bound GP+A reports
+//                 next to the integral II.
 //  * solve_gp() — the same model through the general gp::GpSolver, as the
 //                 paper does with GPkit. Used for cross-validation and to
 //                 exercise the GP substrate on the real problem.
@@ -29,55 +29,34 @@
 
 namespace mfa::core {
 
-/// Per-kernel interval bounds on the *total* CU count N_k, used by the
-/// discretizer's branch-and-bound. Defaults to [1, max_cu_total(k)].
-struct CuBounds {
-  std::vector<double> lower;
-  std::vector<double> upper;
-
-  /// Default bounds for a problem: L_k = 1, U_k = F · max-per-FPGA.
-  static CuBounds defaults(const Problem& problem);
-};
-
 /// Result of the continuous relaxation.
 struct RelaxedSolution {
   double ii = 0.0;             ///< optimal relaxed ÎI (ms)
   std::vector<double> n_hat;   ///< N̂_k, the relaxed total CUs per kernel
 };
 
-/// Solves the relaxation exactly by bisection. Returns kInfeasible when
-/// even N̂_k = L_k violates a pooled resource constraint or L > U.
+/// Solves the relaxation exactly by bisection over the box
+/// 1 ≤ N̂_k ≤ max_cu_total(k). Returns kInfeasible when some kernel fits
+/// on no FPGA or N̂_k = 1 violates a pooled resource constraint.
+/// `ii_hint` warm-starts it: a related solve's optimal ÎI (the previous
+/// workload's, say) is probed once and, depending on feasibility,
+/// replaces one end of the initial bracket. The optimum is the same as
+/// the cold solve's (to bisection tolerance); only the iteration count
+/// changes. A hint outside the bracket is ignored, so any value is safe.
 StatusOr<RelaxedSolution> solve_relaxation(const Problem& problem,
-                                           const CuBounds& bounds);
+                                           double ii_hint = 0.0);
 
-/// Convenience overload with default bounds.
-StatusOr<RelaxedSolution> solve_relaxation(const Problem& problem);
+/// Pooled resource and bandwidth feasibility of integral totals `n`
+/// (eqs. 17–18): Σ_k n_k·R_k ≤ Σ_f R_f on every axis and
+/// Σ_k n_k·B_k ≤ Σ_f B_f, each to 1e-12 relative (plus 1e-12 absolute) —
+/// the predicate the bisection probes use, shared with the integral
+/// threshold (solver/candidates.hpp).
+bool fits_pooled_caps(const Problem& problem, const std::vector<int>& n);
 
-/// Warm-started bisection: `ii_hint` — typically a related solve's
-/// optimal ÎI, e.g. the parent node's in branch-and-bound — is probed
-/// once and, depending on feasibility, replaces one end of the initial
-/// bracket. The returned optimum is the same as the cold solve's (to
-/// bisection tolerance); only the iteration count changes. A hint
-/// outside the bracket is ignored, so any positive value is safe.
-StatusOr<RelaxedSolution> solve_relaxation(const Problem& problem,
-                                           const CuBounds& bounds,
-                                           double ii_hint);
-
-/// Allocation-free flavor of the warm-started bisection: writes the
-/// solution into `out`, reusing its n_hat capacity, instead of
-/// returning a fresh RelaxedSolution. Bit-identical arithmetic to
-/// solve_relaxation(problem, bounds, ii_hint) — same probes, same
-/// bits — so results remain interchangeable with cached entries under
-/// relaxation_cache_key. On a non-ok status `out` is unspecified. The
-/// discretizer's branch-and-bound routes every node solve through this
-/// with per-depth pooled solutions, so a node allocates no n_hat.
-Status solve_relaxation_into(const Problem& problem, const CuBounds& bounds,
-                             double ii_hint, RelaxedSolution& out);
-
-/// Builds the GP model (14)–(18) for the problem, with bounds folded in
-/// as monomial constraints. Variable 0 is ÎI; variable 1+k is N̂_k.
-gp::GpProblem build_relaxation_gp(const Problem& problem,
-                                  const CuBounds& bounds);
+/// Builds the GP model (14)–(18) for the problem, with the box
+/// 1 ≤ N̂_k ≤ max_cu_total(k) folded in as monomial constraints.
+/// Variable 0 is ÎI; variable 1+k is N̂_k.
+gp::GpProblem build_relaxation_gp(const Problem& problem);
 
 /// Solves the relaxation through the interior-point GP solver. When
 /// `models` is non-null (and the compiled kernel is enabled), the
@@ -101,12 +80,11 @@ StatusOr<RelaxedSolution> solve_relaxation_gp(const Problem& problem,
                                               CompiledModelCache* models =
                                                   nullptr);
 
-/// Cache key for a bisection solve of (problem, bounds, ii_hint): hashes
-/// every input the result depends on plus an algorithm tag, so entries
-/// never alias interior-point results. See core/relax_cache.hpp for the
+/// Cache key for a bisection solve of (problem, ii_hint): hashes every
+/// input the result depends on plus an algorithm tag, so entries never
+/// alias interior-point results. See core/relax_cache.hpp for the
 /// determinism contract this upholds.
-Fingerprint relaxation_cache_key(const Problem& problem,
-                                 const CuBounds& bounds, double ii_hint);
+Fingerprint relaxation_cache_key(const Problem& problem, double ii_hint);
 
 /// Cache key for a default-bounds interior-point solve under `options`
 /// (solver options are folded in — they change the returned bits).

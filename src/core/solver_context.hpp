@@ -1,11 +1,8 @@
 // Shared solver context: one wiring point for cross-solve resources.
 //
-// Before this header, every layer that wanted the process-wide caches
-// threaded two raw pointers (relax_cache, model_cache) through its own
-// options struct — GpaOptions, PortfolioOptions, BatchOptions and
-// ServerOptions each re-declared the same plumbing, and adding a shared
-// resource meant touching all of them. A SolverContext bundles the
-// resources one solve stack shares:
+// A SolverContext bundles the resources one solve stack shares, so
+// GpaOptions, PortfolioOptions and BatchOptions carry one pointer
+// instead of re-declaring the same plumbing:
 //
 //   * the relaxation memoization cache (core/relax_cache.hpp),
 //   * the compiled-GP model cache (core/compiled_cache.hpp),
@@ -18,16 +15,16 @@
 // Everything is a non-owning pointer and every field is optional; a
 // default SolverContext is equivalent to no context at all. The context
 // itself is passed by reference (`const SolverContext*`) through the
-// options structs, so N shards of an allocation service can share one
-// process-wide model cache by pointing N contexts (or one) at it — the
-// sharded-cache determinism contract makes that byte-transparent
-// whichever shard populates an entry first.
+// options structs, so several solve stacks can share one cache by
+// pointing their contexts at it — the sharded-cache determinism
+// contract makes that byte-transparent whichever stack populates an
+// entry first.
 //
 // The struct lives in core (not runtime) so alloc-layer options can
 // carry it without a layering inversion; Budget and ThreadPool are
 // forward-declared since only pointers are stored. It is the only way
-// to hand caches to GpaOptions, PortfolioOptions, BatchOptions and
-// ServerOptions: each carries one `context` pointer and nothing else.
+// to hand caches to GpaOptions, PortfolioOptions and BatchOptions: each
+// carries one `context` pointer and nothing else.
 #pragma once
 
 #include "core/compiled_cache.hpp"
@@ -47,9 +44,7 @@ struct SolverContext {
   /// Relaxation memoization shared across lanes/requests. Not owned.
   RelaxationCache* relax_cache = nullptr;
 
-  /// Compiled-GP model cache shared across lanes/requests — the
-  /// process-wide structure cache a sharded service hangs off one
-  /// context. Not owned.
+  /// Compiled-GP model cache shared across lanes/requests. Not owned.
   CompiledModelCache* model_cache = nullptr;
 
   /// Caller-managed shared budget. When set, Portfolio::solve charges

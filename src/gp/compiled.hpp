@@ -62,11 +62,9 @@ struct GpWorkspace {
 };
 
 // ---------------------------------------------------------------------------
-// Process-wide compilation counters (relaxed atomics). Benches and the
-// allocation service sample deltas around a workload to verify that
-// structurally-stable event streams stop paying for full lowerings:
-// bench/service_churn --check asserts Reprioritize/ResizePlatform events
-// perform *zero* full compiles.
+// Process-wide compilation counters (relaxed atomics). Benches and
+// tests sample deltas around a workload to verify that structurally
+// stable solve streams stop paying for full lowerings.
 // ---------------------------------------------------------------------------
 
 /// Full IR lowerings (GpProblem::compile() calls) since process start.

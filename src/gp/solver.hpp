@@ -41,10 +41,9 @@ struct SolverOptions {
   /// warm-started barrier opens at t0 = m / warm_gap instead of
   /// replaying the whole path. 1e-3 suits a seed from the *same*
   /// problem (re-solve, cache replay); callers seeding from a
-  /// *neighboring* problem — the allocation service warm-starts each
-  /// event from the previous workload's optimum — should widen this
-  /// (~3e-2), or the high-t opening grinds on a seed that is no longer
-  /// near-optimal. Cold solves ignore it.
+  /// *neighboring* problem (e.g. the previous workload's optimum)
+  /// should widen this (~3e-2), or the high-t opening grinds on a seed
+  /// that is no longer near-optimal. Cold solves ignore it.
   double warm_gap = 1e-3;
   /// Evaluate through the compiled flat LSE IR (gp/compiled.hpp): fused
   /// value/gradient/Hessian over CSR arrays with preallocated scratch.

@@ -476,6 +476,10 @@ StatusOr<service::PipelineSpec> pipeline_spec_from_json(const Json& j) {
   return pipe;
 }
 
+Json alloc_count_to_json(std::uint64_t count, bool measured) {
+  return measured ? Json::number(static_cast<double>(count)) : Json::null();
+}
+
 Json to_json(const service::EventOutcome& o) {
   Json j = Json::object();
   j.set("seq", Json::number(static_cast<double>(o.sequence)));
@@ -484,7 +488,6 @@ Json to_json(const service::EventOutcome& o) {
   j.set("status", Json::string(o.status.to_string()));
   j.set("solve_status", Json::string(o.solve_status.to_string()));
   j.set("active", Json::number(static_cast<double>(o.active_pipelines)));
-  j.set("warm", Json::boolean(o.solve.warm_started));
   j.set("ii_ms", Json::number(o.solve.ii));
   j.set("phi", Json::number(o.solve.phi));
   j.set("goal", Json::number(o.solve.goal));
@@ -492,22 +495,9 @@ Json to_json(const service::EventOutcome& o) {
   for (int t : o.solve.totals) totals.push_back(Json::number(t));
   j.set("totals", std::move(totals));
   j.set("nodes", Json::number(static_cast<double>(o.solve.nodes)));
-  // Compilation-cache observability (deterministic with the default
-  // sequential lanes; see EventOutcome).
   j.set("delta", Json::string(service::to_string(o.cache.delta)));
-  j.set("gp_compiles",
-        Json::number(static_cast<double>(o.cache.gp_compiles)));
-  j.set("gp_patches", Json::number(static_cast<double>(o.cache.gp_patches)));
-  j.set("model_hits", Json::number(static_cast<double>(o.cache.model_hits)));
-  j.set("model_misses",
-        Json::number(static_cast<double>(o.cache.model_misses)));
-  j.set("relax_hits", Json::number(static_cast<double>(o.cache.relax_hits)));
-  // Migration diff, appended after the PR-7 flat keys so consumers that
-  // parse (or byte-compare) the historical prefix keep working.
   j.set("diff", to_json(o.diff));
-  // Warm-path allocation count, appended last for the same reason (0
-  // unless the build links the counting interposer).
-  j.set("warm_allocs", Json::number(static_cast<double>(o.warm_allocs)));
+  j.set("warm_allocs", alloc_count_to_json(o.warm_allocs));
   return j;
 }
 

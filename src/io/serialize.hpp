@@ -50,6 +50,8 @@
 //     {"type": "remove", "time_ms": 55.1, "id": "p0"}]}
 #pragma once
 
+#include <cstdint>
+
 #include "core/allocation.hpp"
 #include "core/problem.hpp"
 #include "io/json.hpp"
@@ -57,6 +59,7 @@
 #include "service/event.hpp"
 #include "service/occupancy.hpp"
 #include "service/wal.hpp"
+#include "support/alloc_count.hpp"
 
 namespace mfa::io {
 
@@ -102,12 +105,17 @@ StatusOr<scenario::Trace> trace_from_text(std::string_view text);
 Json to_json(const service::PipelineSpec& pipe);
 StatusOr<service::PipelineSpec> pipeline_spec_from_json(const Json& j);
 
+/// A heap-allocation count: the number when it was measured (the
+/// counting interposer is linked, see support/alloc_count.hpp), null
+/// when it was not — an unmeasured counter does not read 0.
+Json alloc_count_to_json(std::uint64_t count,
+                         bool measured = alloc_counting_linked());
+
 /// The *deterministic* slice of an outcome — every field except wall
 /// clock, so two replays of one trace dump byte-identical logs (the
 /// property CI diffs). Callers wanting latency add it themselves.
-/// Encoding: the PR-7 flat key sequence (seq..relax_hits) followed by a
-/// nested "diff" object, so consumers of the historical prefix keep
-/// working byte-for-byte.
+/// Encoding: flat keys seq..delta, a nested "diff" object, then
+/// "warm_allocs" (see alloc_count_to_json).
 Json to_json(const service::EventOutcome& outcome);
 
 /// Migration diff → {"computed", "cus_moved", "disturbed",

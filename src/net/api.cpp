@@ -37,12 +37,6 @@ Json stats_to_json(const service::ServiceStats& s) {
   j.set("active_pipelines",
         Json::number(static_cast<double>(s.active_pipelines)));
   j.set("solve_nodes", Json::number(static_cast<double>(s.solve_nodes)));
-  j.set("gp_compiles", Json::number(static_cast<double>(s.gp_compiles)));
-  j.set("gp_patches", Json::number(static_cast<double>(s.gp_patches)));
-  j.set("model_hits", Json::number(static_cast<double>(s.model_hits)));
-  j.set("model_misses",
-        Json::number(static_cast<double>(s.model_misses)));
-  j.set("relax_hits", Json::number(static_cast<double>(s.relax_hits)));
   j.set("cus_moved", Json::number(static_cast<double>(s.cus_moved)));
   j.set("pipelines_disturbed",
         Json::number(static_cast<double>(s.pipelines_disturbed)));
@@ -56,7 +50,7 @@ Json stats_to_json(const service::ServiceStats& s) {
   j.set("p95_ms", Json::number(s.p95_ms));
   j.set("p99_ms", Json::number(s.p99_ms));
   j.set("max_ms", Json::number(s.max_ms));
-  j.set("warm_allocs", Json::number(static_cast<double>(s.warm_allocs)));
+  j.set("warm_allocs", io::alloc_count_to_json(s.warm_allocs));
   return j;
 }
 

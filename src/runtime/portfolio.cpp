@@ -23,13 +23,10 @@ double seconds_since(Clock::time_point t0) {
 struct LaneRun {
   StrategyOutcome outcome;
   std::optional<core::Allocation> allocation;  // bound to the request problem
-  std::optional<core::RelaxedSolution> relaxed;  // GP+A root (ÎI, N̂)
 };
 
 LaneRun run_lane(const StrategySpec& spec, const core::Problem& problem,
-                 const PortfolioOptions& options,
-                 const std::optional<core::RelaxedSolution>& warm,
-                 solver::Budget& shared) {
+                 const PortfolioOptions& options, solver::Budget& shared) {
   LaneRun run;
   run.outcome.strategy = spec.name();
   const auto t0 = Clock::now();
@@ -55,13 +52,11 @@ LaneRun run_lane(const StrategySpec& spec, const core::Problem& problem,
       // level pointer reaches every GP+A lane unless the base GpaOptions
       // already carried its own.
       if (o.stability == nullptr) o.stability = options.stability;
-      if (warm) o.warm = warm;  // root-relaxation seed (request-level)
       StatusOr<alloc::GpaResult> r = alloc::GpaSolver(o).solve(problem);
       if (r.is_ok()) {
         run.allocation = std::move(r.value().allocation);
-        run.outcome.nodes = r.value().discretize_nodes;
-        run.relaxed = core::RelaxedSolution{
-            r.value().relaxed_ii, std::move(r.value().relaxed_n)};
+        run.outcome.nodes =
+            r.value().discretize_nodes + r.value().placement_nodes;
       } else {
         run.outcome.status = r.status();
       }
@@ -209,7 +204,7 @@ SolveResult Portfolio::solve(const SolveRequest& request) const {
     workers = options.context->pool;  // context as the pool wiring point
   }
   auto run = [&](std::size_t i) {
-    runs[i] = run_lane(lanes[i], problem, options, request.warm, shared);
+    runs[i] = run_lane(lanes[i], problem, options, shared);
   };
   if (workers != nullptr && distinct.size() > 1) {
     workers->parallel_for(distinct.size(),
@@ -266,7 +261,6 @@ SolveResult Portfolio::solve(const SolveRequest& request) const {
   }
 
   result.allocation = rebind(*runs[winner].allocation, *result.problem);
-  result.relaxed = std::move(runs[winner].relaxed);
   result.ii = result.lanes[winner].ii;
   result.phi = result.lanes[winner].phi;
   result.goal = result.lanes[winner].goal;

@@ -20,7 +20,6 @@
 #include "alloc/gpa.hpp"
 #include "core/allocation.hpp"
 #include "core/problem.hpp"
-#include "core/relaxation.hpp"
 #include "core/solver_context.hpp"
 #include "solver/exact.hpp"
 #include "support/status.hpp"
@@ -72,10 +71,9 @@ struct PortfolioOptions {
   /// budget, and the worker pool lanes race on — in one wiring point
   /// (see core/solver_context.hpp). Equal-ceiling GP+A lanes already run
   /// once; distinct GP+A lanes (R < 1) still solve the identical root
-  /// relaxation and walk the identical discretization tree, so with the
-  /// context's caches that work is done once and reused; keys capture
-  /// every solve input, so hits are bit-identical to solving and
-  /// determinism across thread counts is preserved. When
+  /// relaxation, so with the context's caches that work is done once and
+  /// reused; keys capture every solve input, so hits are bit-identical
+  /// to solving and determinism across thread counts is preserved. When
   /// context->budget is set, solve() charges lanes against it instead
   /// of constructing a per-solve budget. Not owned; each cache it sets
   /// overrides the corresponding field of `gpa.context`.
@@ -100,14 +98,6 @@ struct SolveRequest {
   std::shared_ptr<const core::Problem> problem;
   /// Overrides the batch-level portfolio configuration when set.
   std::optional<PortfolioOptions> options;
-  /// Warm start for the GP+A lanes' root relaxation, typically the
-  /// incumbent of a closely related solve (the allocation service seeds
-  /// each event's re-solve from the previous allocation's ÎI and N̂).
-  /// Exact/naive lanes ignore it. Always safe: a stale seed only costs
-  /// one feasibility probe, never correctness — the root solver
-  /// converges to the same optimum and cache keys fold the seed in.
-  std::optional<core::RelaxedSolution> warm;
-
   static SolveRequest of(core::Problem problem) {
     SolveRequest r;
     r.problem =
@@ -143,10 +133,6 @@ struct SolveResult {
   double goal = 0.0;
   /// True when an exact lane on the true objective completed its search.
   bool proved_optimal = false;
-  /// Root relaxation (ÎI, N̂) of the winning lane, when it was a GP+A
-  /// lane — the seed an online caller passes back as the next related
-  /// request's `warm` (exact/naive winners leave it empty).
-  std::optional<core::RelaxedSolution> relaxed;
   std::string winner;       ///< name of the winning lane
   std::int64_t nodes = 0;   ///< Σ nodes across lanes
   double seconds = 0.0;     ///< wall time of the whole portfolio call

@@ -21,35 +21,13 @@ double seconds_since(Clock::time_point t0) {
 AllocServer::AllocServer(core::Platform platform, ServerOptions options,
                          DeferStart)
     : options_(std::move(options)),
-      cache_(core::RelaxCacheConfig{options_.cache_shards,
-                                    options_.cache_entries}),
-      models_(core::CacheConfig{options_.model_cache_shards,
-                                options_.model_cache_entries}),
       composite_(std::move(platform),
                  CompositeConfig{options_.resource_fraction,
                                  options_.bw_fraction, options_.alpha,
                                  options_.beta}) {
-  // Context-provided caches (e.g. the ShardRouter's process-wide model
-  // cache) replace the owned ones; everything downstream goes through
-  // the pointers.
-  relax_cache_ = options_.context != nullptr &&
-                         options_.context->relax_cache != nullptr
-                     ? options_.context->relax_cache
-                     : &cache_;
-  model_cache_ = options_.context != nullptr &&
-                         options_.context->model_cache != nullptr
-                     ? options_.context->model_cache
-                     : &models_;
   if (options_.solver_threads != 1) {
     pool_ = std::make_unique<runtime::ThreadPool>(options_.solver_threads);
   }
-  // One wiring point for the portfolio: ctx_ is a stable member, so the
-  // portfolio's copied options can point at it for the server's
-  // lifetime. The pool is passed to the Portfolio directly (it owns the
-  // lane fan-out), not through the context.
-  ctx_.relax_cache = relax_cache_;
-  ctx_.model_cache = model_cache_;
-  options_.portfolio.context = &ctx_;
   portfolio_ = std::make_unique<runtime::Portfolio>(options_.portfolio,
                                                     pool_.get());
 }
@@ -118,9 +96,8 @@ Status AllocServer::restore(const WalRecovery& recovery) {
   if (recovery.snapshot) {
     // Splice the snapshotted workload in wholesale, then re-derive the
     // incumbent with one solve: the incumbent is a pure function of
-    // (platform, live pipelines, options) and warm starts are
-    // byte-transparent, so this lands on exactly the allocation the
-    // uninterrupted run held at the snapshot point.
+    // (platform, live pipelines, options), so this lands on exactly the
+    // allocation the uninterrupted run held at the snapshot point.
     LockGuard lock(state_mutex_);
     composite_.resize_platform(recovery.snapshot->platform);
     for (const PipelineSpec& pipe : recovery.snapshot->pipelines) {
@@ -256,124 +233,27 @@ void AllocServer::retain_outcome(const EventOutcome& outcome) {
   }
 }
 
-std::optional<core::RelaxedSolution> AllocServer::make_warm(
-    const core::Problem& problem) const {
-  if (!options_.warm_start || last_ii_ <= 0.0) return std::nullopt;
-  core::RelaxedSolution warm;
-  warm.ii = last_ii_;
-  warm.n_hat.reserve(problem.num_kernels());
-  for (const PipelineSpec& pipe : pipelines_) {
-    auto it = last_totals_.find(pipe.id);
-    for (std::size_t k = 0; k < pipe.app.kernels.size(); ++k) {
-      if (it != last_totals_.end() && k < it->second.size()) {
-        // Surviving pipeline: carry its previous N̂ over.
-        warm.n_hat.push_back(it->second[k]);
-      } else {
-        // New arrival: the CU count that would meet the incumbent ÎI.
-        const double wcet = pipe.app.kernels[k].wcet_ms * pipe.weight;
-        warm.n_hat.push_back(std::max(1.0, wcet / last_ii_));
-      }
-    }
-  }
-
-  // Pull the seed inside the *new* composite's pooled constraints: a
-  // fresh arrival's N̂ rides on top of the survivors', which can
-  // overshoot the pool and force the barrier's phase I to run from an
-  // infeasible point. Scaling N̂ by s < 1 and ÎI by 1/s preserves the
-  // latency products ÎI·N̂_k, so the scaled seed stays latency-feasible
-  // while re-entering the resource region (the 0.95 margin keeps it
-  // strictly interior; the N̂ ≥ 1 clamp in the GP warm path can nudge
-  // usage back up, which the margin absorbs).
-  const core::ResourceVec pooled = problem.pooled_cap();
-  double scale = 1.0;
-  for (std::size_t axis = 0; axis < core::kNumResources; ++axis) {
-    if (pooled.axis(axis) <= 0.0) continue;
-    double used = 0.0;
-    for (std::size_t k = 0; k < problem.num_kernels(); ++k) {
-      used += warm.n_hat[k] * problem.app.kernels[k].res.axis(axis);
-    }
-    if (used > 0.0) {
-      scale = std::min(scale, 0.95 * pooled.axis(axis) / used);
-    }
-  }
-  double bw_used = 0.0;
-  for (std::size_t k = 0; k < problem.num_kernels(); ++k) {
-    bw_used += warm.n_hat[k] * problem.app.kernels[k].bw;
-  }
-  if (bw_used > 0.0 && problem.pooled_bw_cap() > 0.0) {
-    scale = std::min(scale, 0.95 * problem.pooled_bw_cap() / bw_used);
-  }
-  if (scale < 1.0) {
-    warm.ii /= scale;
-    for (double& n : warm.n_hat) n *= scale;
-  }
-  return warm;
-}
-
 void AllocServer::resolve_workload(EventOutcome& outcome) {
-  // Sample the compilation/cache counters around the solve so the
-  // outcome records what this event actually paid for (deterministic
-  // whenever one lane runs at a time; see CacheCounters).
-  const std::int64_t compiles0 = gp::total_structure_compiles();
-  const std::int64_t patches0 = gp::total_coefficient_patches();
-  const auto models0 = model_cache_->stats();
-  const auto relax0 = relax_cache_->stats();
   runtime::SolveRequest request;
   request.problem = composite_.snapshot();
-  request.warm = make_warm(*request.problem);
-  outcome.solve.warm_started = request.warm.has_value();
   runtime::SolveResult result = portfolio_->solve(request);
   outcome.solve_status = result.status;
   outcome.solve.nodes = result.nodes;
-  outcome.cache.gp_compiles = gp::total_structure_compiles() - compiles0;
-  outcome.cache.gp_patches = gp::total_coefficient_patches() - patches0;
-  const auto models1 = model_cache_->stats();
-  const auto relax1 = relax_cache_->stats();
-  outcome.cache.model_hits = models1.hits - models0.hits;
-  outcome.cache.model_misses = models1.misses - models0.misses;
-  outcome.cache.relax_hits = relax1.hits - relax0.hits;
-  if (result.is_ok() && result.allocation) {
-    // Diff the unconstrained optimum against the occupancy records
-    // (recorded whether or not stability is configured — "stability
-    // off" and "budgets too large to bind" produce identical logs);
-    // when it busts a configured budget the ladder may swap in a
-    // gentler allocation and re-stamp the diff.
-    outcome.diff =
-        occupancy_.diff_against(pipelines_, *result.allocation, outcome.id);
-    apply_stability(result, outcome);
-    // Refresh the warm seed: the winning lane's root relaxation
-    // (ÎI, N̂), sliced per pipeline so surviving tenants carry their N̂
-    // into the next composite. An exact-lane winner has no root; fall
-    // back to its integer totals.
-    last_totals_.clear();
-    const bool have_relaxed =
-        result.relaxed.has_value() &&
-        result.relaxed->n_hat.size() == result.allocation->num_kernels();
-    std::size_t k = 0;
-    for (const PipelineSpec& pipe : pipelines_) {
-      std::vector<double>& totals = last_totals_[pipe.id];
-      totals.reserve(pipe.app.kernels.size());
-      for (std::size_t j = 0; j < pipe.app.kernels.size(); ++j, ++k) {
-        totals.push_back(have_relaxed
-                             ? result.relaxed->n_hat[k]
-                             : static_cast<double>(
-                                   result.allocation->total_cu(k)));
-      }
-    }
-    last_ii_ = have_relaxed ? result.relaxed->ii : result.ii;
-    incumbent_ = std::move(result);
-    // Occupancy moves in lock-step with the incumbent: the same update
-    // happens inside recovery's re-derivation solve and tail replay, so
-    // a recovered ledger is byte-identical to an uninterrupted run's.
-    occupancy_.update(*request.problem, pipelines_,
-                      *incumbent_->allocation);
-  } else {
-    // Keep serving the previous allocation (and its occupancy records);
-    // the failed state's seed data would poison the next warm start, so
-    // drop it.
-    last_totals_.clear();
-    last_ii_ = 0.0;
-  }
+  last_solve_failed_ = !(result.is_ok() && result.allocation);
+  if (last_solve_failed_) return;  // keep serving the previous allocation
+  // Diff the unconstrained optimum against the occupancy records
+  // (recorded whether or not stability is configured — "stability off"
+  // and "budgets too large to bind" produce identical logs); when it
+  // busts a configured budget the ladder may swap in a gentler
+  // allocation and re-stamp the diff.
+  outcome.diff =
+      occupancy_.diff_against(pipelines_, *result.allocation, outcome.id);
+  apply_stability(result, outcome);
+  incumbent_ = std::move(result);
+  // Occupancy moves in lock-step with the incumbent: the same update
+  // happens inside recovery's re-derivation solve and tail replay, so a
+  // recovered ledger is byte-identical to an uninterrupted run's.
+  occupancy_.update(*request.problem, pipelines_, *incumbent_->allocation);
 }
 
 void AllocServer::apply_stability(runtime::SolveResult& result,
@@ -552,7 +432,6 @@ EventOutcome AllocServer::process(Event event) {
               Code::kInvalid, "unknown pipeline id: '" + event.id + "'"};
         } else {
           touched = static_cast<std::size_t>(it - pipelines_.begin());
-          last_totals_.erase(it->id);
           removed = std::move(*it);
           pipelines_.erase(it);
           composite_.remove_pipeline(touched);
@@ -611,8 +490,7 @@ EventOutcome AllocServer::process(Event event) {
     if (pipelines_.empty()) {
       incumbent_.reset();
       occupancy_.clear();
-      last_totals_.clear();
-      last_ii_ = 0.0;
+      last_solve_failed_ = false;
     } else {
       // live(), not snapshot(): validation must not cycle the publish
       // ring — in the steady state the ring alternates between the
@@ -658,8 +536,7 @@ EventOutcome AllocServer::process(Event event) {
   // skipped while the last re-solve failed: the incumbent is then stale,
   // its ledger does not cover the live set, and recovery could not
   // re-derive it; recovery replays from the previous snapshot instead.
-  const bool stale_incumbent = !pipelines_.empty() && last_ii_ <= 0.0;
-  if (wal_ && !replaying_ && !stale_incumbent &&
+  if (wal_ && !replaying_ && !last_solve_failed_ &&
       options_.snapshot_every > 0 &&
       sequence_ % options_.snapshot_every == 0) {
     WalSnapshot snapshot;
@@ -703,11 +580,6 @@ EventOutcome AllocServer::process(Event event) {
   // router-level reader (the wire API) de-duplicate them.
   if (outcome.type == Event::Type::kResizePlatform) ++stats_.resizes;
   stats_.solve_nodes += outcome.solve.nodes;
-  stats_.gp_compiles += outcome.cache.gp_compiles;
-  stats_.gp_patches += outcome.cache.gp_patches;
-  stats_.model_hits += outcome.cache.model_hits;
-  stats_.model_misses += outcome.cache.model_misses;
-  stats_.relax_hits += outcome.cache.relax_hits;
   stats_.cus_moved += static_cast<std::uint64_t>(
       std::max(0, outcome.diff.cus_moved));
   stats_.pipelines_disturbed += static_cast<std::uint64_t>(

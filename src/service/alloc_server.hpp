@@ -2,34 +2,28 @@
 //
 // AllocServer turns the static per-instance solvers into an online
 // system: it owns the pool (a core::Platform), the set of live
-// pipelines, a sharded capacity-bounded RelaxationCache, and a solver
-// ThreadPool, and consumes a stream of events — AddPipeline,
-// RemovePipeline, Reprioritize, ResizePlatform — through an MPMC queue.
+// pipelines and a solver ThreadPool, and consumes a stream of events —
+// AddPipeline, RemovePipeline, Reprioritize, ResizePlatform — through an
+// MPMC queue.
 //
-// Each event mutates the workload and triggers an *incremental*
-// re-solve of the composite problem (all live pipelines concatenated
-// into one super-pipeline on the shared platform, each pipeline's WCETs
-// scaled by its priority weight). Incrementality is layered:
-//
-//  * the composite itself is maintained by a CompositeBuilder
-//    (service/composite.hpp) that applies event deltas — Reprioritize
-//    rewrites a few WCET coefficients in place, ResizePlatform swaps the
-//    platform, only Add/Remove splice the kernel set — instead of
-//    rebuilding the super-pipeline from scratch per event;
-//  * the solve is warm-started from the incumbent allocation's ÎI/N̂ via
-//    SolveRequest::warm, so the root relaxation re-converges in a
-//    handful of probes instead of a cold bisection or barrier path, and
-//    branch-and-bound node relaxations hit the shared RelaxationCache;
-//  * interior-point roots go through a CompiledModelCache keyed by the
-//    GP model's *structural* fingerprint: numeric-only events reuse the
-//    compiled IR and pay an O(terms) coefficient patch instead of a full
-//    lowering (EventOutcome::gp_compiles/gp_patches count both).
-//
-// Warm starts and both caches are pure accelerations — the solved
-// optimum matches a cold solve — and the per-event portfolio budget
-// (ServerOptions::portfolio.max_nodes/max_seconds, enforced through the
-// portfolio's shared Budget when exact lanes are enabled) bounds each
-// event's latency.
+// Each event mutates the workload and triggers a re-solve of the
+// composite problem (all live pipelines concatenated into one
+// super-pipeline on the shared platform, each pipeline's WCETs scaled by
+// its priority weight). The composite itself is maintained by a
+// CompositeBuilder (service/composite.hpp) that applies event deltas —
+// Reprioritize rewrites a few WCET coefficients in place, ResizePlatform
+// swaps the platform, only Add/Remove splice the kernel set — instead of
+// rebuilding the super-pipeline from scratch per event. The re-solve is
+// cold and holds no cache: GP+A's integral totals come from the
+// candidate threshold (solver/candidates.hpp), which costs a handful of
+// feasibility probes per event. Where Algorithm 1 leaves a kernel without
+// a CU, GP+A packs one CU per kernel exactly under a node-only budget
+// (alloc::kPlacementNodes) and places the rest around it, so a workload
+// stays unplaced only where one CU per kernel does not fit or that
+// budget ran out — never because of Algorithm 1's kernel order. The
+// per-event portfolio budget (ServerOptions::portfolio.max_nodes/
+// max_seconds, enforced through the portfolio's shared Budget when exact
+// lanes are enabled) bounds each event's latency.
 //
 // Determinism: events are applied in submission order by one dispatcher
 // thread, and with the default heuristic-only portfolio every
@@ -41,8 +35,8 @@
 // server keeps a write-ahead log (service/wal.hpp) — each event is
 // appended and fsync'd *before* it mutates anything, and the live
 // workload is snapshotted every `snapshot_every` events. recover()
-// rebuilds a crashed server from snapshot + log tail; because warm
-// starts and caches are byte-transparent and the dispatcher is
+// rebuilds a crashed server from snapshot + log tail; because each
+// solve depends only on the workload and the dispatcher is
 // deterministic, the recovered incumbent is *byte-identical* to an
 // uninterrupted run's (the crash-recovery CI job asserts exactly that).
 #pragma once
@@ -55,13 +49,9 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "core/compiled_cache.hpp"
 #include "core/problem.hpp"
-#include "core/relax_cache.hpp"
-#include "core/solver_context.hpp"
 #include "runtime/portfolio.hpp"
 #include "runtime/solve.hpp"
 #include "runtime/thread_pool.hpp"
@@ -83,33 +73,16 @@ struct ServerOptions {
   /// Enable run_exact for proof-grade serving where latency permits.
   runtime::PortfolioOptions portfolio;
 
-  /// Seed each event's re-solve from the incumbent (see file comment).
-  bool warm_start = true;
-
-  /// Sharded, capacity-bounded relaxation cache owned by the server —
-  /// a daemon must not grow without bound. 0 entries = unbounded.
+  /// Sizing of a relaxation cache. The server owns no cache and never
+  /// reads these; perfbench's traced replay sizes its own cache from
+  /// them.
   std::size_t cache_shards = 16;
   std::size_t cache_entries = 1 << 16;
 
-  /// Sharded, capacity-bounded compiled-GP model cache (also owned by
-  /// the server): one entry per distinct composite *structure*, so the
-  /// working set is the number of distinct live-pipeline shapes, not
-  /// the event count. 0 entries = unbounded.
-  std::size_t model_cache_shards = 4;
-  std::size_t model_cache_entries = 256;
-
-  /// Process-wide shared solver resources that *replace* the server-
-  /// owned caches above when set — the ShardRouter points every shard
-  /// here so all shards share one CompiledModelCache (identical
-  /// pipeline structures compile once per process, not once per
-  /// shard). Not owned; must outlive the server. See
-  /// core/solver_context.hpp.
-  const core::SolverContext* context = nullptr;
-
   /// Outcomes retained for log(): the newest `log_capacity` events
   /// (0 = unbounded — replay/test harnesses that diff the full log).
-  /// Same rationale as the cache bound: a daemon processing millions
-  /// of events must not accumulate per-event records forever.
+  /// A daemon processing millions of events must not accumulate
+  /// per-event records forever.
   std::size_t log_capacity = 4096;
 
   /// Worker threads the portfolio lanes race on (the server keeps one
@@ -158,10 +131,6 @@ struct ServerOptions {
     portfolio.run_naive = false;
     portfolio.max_seconds = 5.0;
     portfolio.max_nodes = 2'000'000;
-    // Event seeds come from the *previous* workload's optimum, not the
-    // same problem's: open the warm barrier at a coarser gap (see
-    // gp::SolverOptions::warm_gap).
-    portfolio.gpa.gp.warm_gap = 3e-2;
   }
 };
 
@@ -181,11 +150,6 @@ struct ServiceStats {
   std::uint64_t resizes = 0;
   std::size_t active_pipelines = 0;
   std::int64_t solve_nodes = 0;
-  std::int64_t gp_compiles = 0;
-  std::int64_t gp_patches = 0;
-  std::uint64_t model_hits = 0;
-  std::uint64_t model_misses = 0;
-  std::uint64_t relax_hits = 0;
   // Migration totals (see AllocationDiff): CUs torn down and pipelines
   // disturbed across all events, plus how often the stability ladder
   // repacked or gave up.
@@ -196,8 +160,8 @@ struct ServiceStats {
   std::uint64_t snapshots = 0;   ///< snapshots successfully written
   std::uint64_t wal_errors = 0;  ///< failed appends/snapshots
   /// Heap allocations observed inside warm delta application across all
-  /// events (see EventOutcome::warm_allocs; 0 unless the counting
-  /// interposer is linked).
+  /// events (see EventOutcome::warm_allocs; only measured when the
+  /// counting interposer is linked, and serialized as null otherwise).
   std::uint64_t warm_allocs = 0;
   double p50_ms = 0.0;  ///< event latency percentiles over log()
   double p95_ms = 0.0;
@@ -260,14 +224,6 @@ class AllocServer {
   /// data; invalid/empty before the first successful solve).
   [[nodiscard]] OccupancyTracker occupancy() const;
 
-  [[nodiscard]] core::RelaxationCache::Stats cache_stats() const {
-    return relax_cache_->stats();
-  }
-
-  [[nodiscard]] core::CompiledModelCache::Stats model_cache_stats() const {
-    return model_cache_->stats();
-  }
-
  private:
   /// Tag for the delegated constructor that wires everything but does
   /// not start the dispatcher (open()/recover() finish WAL setup first).
@@ -280,8 +236,8 @@ class AllocServer {
   /// re-solve, snapshot); acquires state_mutex_ for the whole mutation.
   EventOutcome process(Event event) MFA_EXCLUDES(state_mutex_);
 
-  /// Re-solves the current composite and refreshes incumbent/seed/
-  /// occupancy state, recording solve provenance and the migration diff
+  /// Re-solves the current composite and refreshes incumbent/occupancy
+  /// state, recording solve provenance and the migration diff
   /// into `outcome` (outcome.id names the event's target, "" for
   /// resize). Requires state_mutex_ held and a non-empty pipeline set.
   void resolve_workload(EventOutcome& outcome) MFA_REQUIRES(state_mutex_);
@@ -322,29 +278,11 @@ class AllocServer {
   void retain_outcome(const EventOutcome& outcome)
       MFA_REQUIRES(state_mutex_);
 
-  /// Warm seed for the next solve, aligned to `problem`'s kernels from
-  /// the per-pipeline totals of the previous one (nullopt on cold
-  /// starts or when disabled).
-  [[nodiscard]] std::optional<core::RelaxedSolution> make_warm(
-      const core::Problem& problem) const MFA_REQUIRES(state_mutex_);
-
   // ---- Construction-time wiring: set before the dispatcher starts,
   // immutable afterwards (or internally synchronized). No GUARDED_BY —
   // each carries its own thread-model justification. -------------------
   // mfa-lint: allow(mutex-hygiene) immutable after construction
   ServerOptions options_;
-  // mfa-lint: allow(mutex-hygiene) ShardedCache, internally synchronized
-  core::RelaxationCache cache_;
-  // mfa-lint: allow(mutex-hygiene) ShardedCache, internally synchronized
-  core::CompiledModelCache models_;
-  /// Effective caches: ServerOptions::context overrides the owned ones.
-  // mfa-lint: allow(mutex-hygiene) set in ctor, immutable afterwards
-  core::RelaxationCache* relax_cache_ = nullptr;
-  // mfa-lint: allow(mutex-hygiene) set in ctor, immutable afterwards
-  core::CompiledModelCache* model_cache_ = nullptr;
-  /// The single wiring point handed to the portfolio (caches + pool).
-  // mfa-lint: allow(mutex-hygiene) immutable after construction
-  core::SolverContext ctx_;
   /// null → sequential lanes
   // mfa-lint: allow(mutex-hygiene) set in ctor; ThreadPool self-syncs
   std::unique_ptr<runtime::ThreadPool> pool_;
@@ -367,10 +305,10 @@ class AllocServer {
   /// Per-FPGA ledger + per-pipeline placement records, lock-step with
   /// incumbent_ (updated inside resolve_workload, cleared with it).
   OccupancyTracker occupancy_ MFA_GUARDED_BY(state_mutex_);
-  /// Previous solve's per-pipeline CU totals and ÎI, the warm seed.
-  std::unordered_map<std::string, std::vector<double>> last_totals_
-      MFA_GUARDED_BY(state_mutex_);
-  double last_ii_ MFA_GUARDED_BY(state_mutex_) = 0.0;
+  /// The last re-solve of a non-empty workload produced no allocation:
+  /// incumbent_ (if any) is stale and its ledger does not cover the live
+  /// set, so no snapshot is written until a re-solve succeeds.
+  bool last_solve_failed_ MFA_GUARDED_BY(state_mutex_) = false;
   /// Newest log_capacity outcomes.
   std::deque<EventOutcome> log_ MFA_GUARDED_BY(state_mutex_);
   std::uint64_t sequence_ MFA_GUARDED_BY(state_mutex_) = 0;

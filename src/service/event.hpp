@@ -82,8 +82,7 @@ struct Event {
 
 /// Delta class an event applied to the composite problem (see
 /// service/composite.hpp): numeric-only deltas keep the composite's
-/// structure — and therefore the compiled-GP model — intact, which is
-/// what the serving-path recompilation counters verify.
+/// kernel set intact and are applied without heap allocation.
 enum class CompositeDelta {
   kNone,          ///< no mutation reached the composite
   kCoefficients,  ///< numeric coefficients only (reprioritize)
@@ -125,40 +124,19 @@ inline const char* to_string(Event::Type type) {
 
 /// The solve half of an event's outcome: what the re-solve produced.
 struct SolveCounters {
-  bool warm_started = false;  ///< re-solve was seeded from the incumbent
-  double ii = 0.0;            ///< incumbent II after the event (ms)
-  double phi = 0.0;           ///< incumbent spreading after the event
-  double goal = 0.0;          ///< incumbent α·II + β·φ after the event
+  double ii = 0.0;    ///< incumbent II after the event (ms)
+  double phi = 0.0;   ///< incumbent spreading after the event
+  double goal = 0.0;  ///< incumbent α·II + β·φ after the event
   /// Discretized CU totals of the composite allocation, in composite
   /// kernel order (empty when there is no incumbent).
   std::vector<int> totals;
   std::int64_t nodes = 0;  ///< Σ nodes across portfolio lanes
 };
 
-/// The cache half of an event's outcome: what the solve paid for. These
-/// counters are deterministic whenever the portfolio runs one lane at a
-/// time: with sequential lanes (solver_threads = 1, the default), and at
-/// any thread count when the GP+A lanes merge into one (equal escalation
-/// ceilings, as at the service's R = 1) and no exact lane runs. Racing
-/// distinct lanes may duplicate a miss before the first writer
-/// publishes, which makes them timing-dependent (like `seconds`, unlike
-/// the solve outputs).
+/// The delta half of an event's outcome: which composite delta the event
+/// applied.
 struct CacheCounters {
-  /// Delta class the event applied to the composite problem.
   CompositeDelta delta = CompositeDelta::kNone;
-  /// Full GP IR lowerings performed by this event's solve. Zero for
-  /// every structurally stable event once the model cache is warm —
-  /// the property bench/service_churn --check gates on.
-  std::int64_t gp_compiles = 0;
-  /// In-place coefficient patches (model-cache hits that re-solved).
-  std::int64_t gp_patches = 0;
-  /// Compiled-model cache hits/misses during the event's solve.
-  std::uint64_t model_hits = 0;
-  std::uint64_t model_misses = 0;
-  /// Relaxation-cache hits during the event's solve (branch-and-bound
-  /// nodes seen before, and distinct GP+A lanes replaying lane 1's
-  /// root and tree).
-  std::uint64_t relax_hits = 0;
 };
 
 /// The migration half of an event's outcome: what the accepted
@@ -186,13 +164,11 @@ struct AllocationDiff {
 };
 
 /// What the server reports for one processed event, in three explicit
-/// sections — solve outputs, cache counters, migration diff — plus the
+/// sections — solve outputs, composite delta, migration diff — plus the
 /// event envelope. Every field except `seconds` is deterministic for a
 /// fixed trace, configuration and thread count — the replay log the CLI
 /// writes (and CI diffs) contains exactly those fields; `seconds` is
-/// wall clock and reported separately. (The JSON encoding stays the
-/// PR-7 flat key sequence with "diff" appended, so existing log
-/// consumers keep working byte-for-byte; see io/serialize.cpp.)
+/// wall clock and reported separately.
 struct EventOutcome {
   std::uint64_t sequence = 0;  ///< position in the server's event order
   Event::Type type = Event::Type::kAddPipeline;
@@ -204,12 +180,13 @@ struct EventOutcome {
   CacheCounters cache;
   AllocationDiff diff;
   /// Heap allocations observed while applying the warm composite delta
-  /// (Reprioritize weight patch / ResizePlatform swap). Always 0 in a
-  /// regular build; with the counting interposer linked (CMake option
-  /// MFA_COUNT_ALLOC, see support/alloc_count.hpp) it is the runtime
-  /// half of the zero-allocation warm-path gate — bench/service_churn
-  /// --check fails on any nonzero value. Deterministic per build
-  /// configuration, so it is serialized with the other counters.
+  /// (Reprioritize weight patch / ResizePlatform swap). Measured only
+  /// with the counting interposer linked (CMake option MFA_COUNT_ALLOC,
+  /// see support/alloc_count.hpp), where it is the runtime half of the
+  /// zero-allocation warm-path gate — bench/service_churn --check fails
+  /// on any nonzero value. Otherwise it stays 0 and serializes as null.
+  /// Deterministic per build configuration, so it is serialized with
+  /// the other counters.
   std::uint64_t warm_allocs = 0;
   double seconds = 0.0;  ///< wall-clock event latency (not logged)
 };

@@ -32,15 +32,14 @@
 //     the free stay-put option, and the GP+A stability plumbing must
 //     hold the incumbent in place at zero budgets.
 //
-//  7. discretization vs an exhaustive enumerator — the branch-and-bound
-//     against test::enumerate_best_totals, which walks every integral
-//     totals vector under the pooled caps with its own arithmetic: same
-//     feasibility verdict, a proved optimum of equal II (ties may pick
-//     other totals), a root relaxation below it, and under a tiny node
-//     cap either kLimit or totals that fit with II ≥ the optimum. Runs
-//     on fuzz_spec() and the deeper deep_fuzz_spec(); seeds whose box is
-//     too large to walk are skipped and counted, and the B&B node counts
-//     are printed as a histogram.
+//  7. discretization vs an exhaustive enumerator — the candidate
+//     threshold (solver::discretize) against test::enumerate_best_totals,
+//     which walks every integral totals vector under the pooled caps
+//     with its own arithmetic: same feasibility verdict, equal II (ties
+//     may pick other totals), totals that fit, and a root relaxation
+//     below it. Runs on fuzz_spec() and the deeper deep_fuzz_spec();
+//     seeds whose box is too large to walk are skipped and counted, and
+//     the threshold's probe counts are printed as a histogram.
 //
 // Usage: differential_fuzz [num_seeds] [--start S] [--out failure.json]
 //                          [--parity] [--relaxation] [--stability]
@@ -70,7 +69,7 @@
 #include "gp/solver.hpp"
 #include "io/serialize.hpp"
 #include "scenario/generate.hpp"
-#include "solver/discretize.hpp"
+#include "solver/candidates.hpp"
 #include "solver/exact.hpp"
 #include "solver/naive.hpp"
 #include "solver/packing.hpp"
@@ -194,69 +193,59 @@ struct EnumerateStats {
   std::uint64_t infeasible = 0;
   std::uint64_t skipped = 0;
   std::uint64_t ties = 0;  ///< equal II, different totals
-  std::int64_t max_nodes = 0;
-  /// Seeds by B&B node count: 1, 2, 3–4, 5–8, …, 129–256, more.
+  std::int64_t max_probes = 0;
+  /// Seeds by probe count: 1, 2, 3–4, 5–8, …, 129–256, more.
   std::array<std::uint64_t, 10> histogram{};
 };
 
 /// Check 7: the discretizer against the exhaustive enumerator (see the
 /// file comment).
 const char* check_enumerate(const mfa::core::Problem& problem,
-                            std::uint64_t seed, EnumerateStats& stats) {
+                            EnumerateStats& stats) {
   const mfa::test::Enumeration truth =
       mfa::test::enumerate_best_totals(problem, kEnumerateMaxPoints);
   if (truth.skipped) {
     ++stats.skipped;
     return nullptr;
   }
-  const auto bnb = mfa::solver::Discretizer().run(problem);
+  const auto threshold = mfa::solver::discretize(problem);
   if (!truth.feasible) {
-    if (bnb.is_ok() || bnb.status().code() != mfa::Code::kInfeasible) {
-      return "B&B does not report kInfeasible, but no integral totals fit";
+    if (threshold.is_ok() ||
+        threshold.status().code() != mfa::Code::kInfeasible) {
+      return "threshold does not report kInfeasible, but no integral "
+             "totals fit";
     }
     ++stats.infeasible;
     return nullptr;
   }
-  if (!bnb.is_ok()) {
-    std::fprintf(stderr, "B&B: %s\n", bnb.status().to_string().c_str());
-    return "B&B failed on an instance with fitting integral totals";
+  if (!threshold.is_ok()) {
+    std::fprintf(stderr, "threshold: %s\n",
+                 threshold.status().to_string().c_str());
+    return "threshold failed on an instance with fitting integral totals";
   }
-  const mfa::solver::DiscretizeResult& r = bnb.value();
-  if (!r.proved_optimal) return "uncapped B&B did not prove optimality";
+  const mfa::solver::DiscretizeResult& r = threshold.value();
   if (!(std::abs(r.ii - truth.best_ii) <= 1e-9 * truth.best_ii)) {
-    std::fprintf(stderr, "B&B II %.12g, enumerated optimum %.12g\n", r.ii,
-                 truth.best_ii);
-    return "B&B II differs from the enumerated optimum";
+    std::fprintf(stderr, "threshold II %.12g, enumerated optimum %.12g\n",
+                 r.ii, truth.best_ii);
+    return "threshold II differs from the enumerated optimum";
+  }
+  if (!mfa::test::totals_fit_pooled_caps(problem, r.totals)) {
+    return "threshold totals exceed the pooled caps";
   }
   // The bisection stops within 1e-14 relative of the relaxed optimum.
-  if (!(r.relaxed_ii <= r.ii * (1.0 + 1e-12))) {
-    return "root relaxation exceeds the B&B II";
+  const auto relaxed = mfa::core::solve_relaxation(problem);
+  if (!relaxed.is_ok() || !(relaxed.value().ii <= r.ii * (1.0 + 1e-12))) {
+    return "root relaxation fails or exceeds the threshold II";
   }
   ++stats.solved;
   if (r.totals != truth.best_totals) ++stats.ties;
-  stats.max_nodes = std::max(stats.max_nodes, r.nodes);
+  stats.max_probes = std::max(stats.max_probes, r.probes);
   std::size_t bucket = 0;
   while (bucket + 1 < stats.histogram.size() &&
-         r.nodes > (std::int64_t{1} << bucket)) {
+         r.probes > (std::int64_t{1} << bucket)) {
     ++bucket;
   }
   ++stats.histogram[bucket];
-
-  // A node cap may stop the search, but whatever it returns must fit.
-  mfa::solver::DiscretizeOptions capped;
-  capped.max_nodes = 1 + static_cast<std::int64_t>(seed % 7);
-  const auto cut = mfa::solver::Discretizer(capped).run(problem);
-  if (!cut.is_ok()) {
-    return cut.status().code() == mfa::Code::kLimit
-               ? nullptr
-               : "node-capped B&B failed with a status other than kLimit";
-  }
-  if (!mfa::test::totals_fit_pooled_caps(problem, cut.value().totals)) {
-    return "node-capped B&B returned totals that exceed the pooled caps";
-  }
-  if (cut.value().ii < truth.best_ii * (1.0 - 1e-9)) {
-    return "node-capped B&B beat the enumerated optimum";
-  }
   return nullptr;
 }
 
@@ -265,7 +254,7 @@ void print_enumerate_stats(const char* corpus, const EnumerateStats& s) {
               " infeasible, %" PRIu64 " skipped (box > %.0e totals)\n",
               corpus, s.solved, s.ties, s.infeasible, s.skipped,
               kEnumerateMaxPoints);
-  std::printf("  B&B nodes  seeds\n");
+  std::printf("  probes     seeds\n");
   for (std::size_t b = 0; b < s.histogram.size(); ++b) {
     char label[32];
     const long long hi = 1LL << b;
@@ -278,7 +267,7 @@ void print_enumerate_stats(const char* corpus, const EnumerateStats& s) {
     }
     std::printf("  %-9s  %" PRIu64 "\n", label, s.histogram[b]);
   }
-  std::printf("  largest tree: %" PRId64 " nodes\n", s.max_nodes);
+  std::printf("  most probes: %" PRId64 "\n", s.max_probes);
 }
 
 /// Migration-aware packing oracle (see file comment, check 6). The
@@ -584,7 +573,7 @@ int main(int argc, char** argv) {
       } else if (opt.stability_only) {
         mismatch = check_stability(problem, seed);
       } else if (opt.enumerate_only) {
-        mismatch = check_enumerate(problem, seed, enumerated);
+        mismatch = check_enumerate(problem, enumerated);
       } else {
         mismatch = check_seed(problem, &feasible);
       }
@@ -608,7 +597,7 @@ int main(int argc, char** argv) {
               opt.parity_only       ? " (patch parity)"
               : opt.relaxation_only ? " (relaxation agreement)"
               : opt.stability_only  ? " (stability)"
-              : opt.enumerate_only  ? " (B&B vs enumerator)"
+              : opt.enumerate_only  ? " (threshold vs enumerator)"
                                     : "",
               checked);
   if (opt.relaxation_only) {

@@ -1,4 +1,6 @@
 #include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -50,6 +52,65 @@ TEST(GpaSolver, PropagatesInvalidProblem) {
 TEST(GpaSolver, PropagatesInfeasibility) {
   Problem p = tiny_problem();
   p.app.kernels[0].res[core::Resource::kDsp] = 95.0;  // cap 80
+  auto r = GpaSolver().solve(p);
+  EXPECT_EQ(r.status().code(), Code::kInfeasible);
+}
+
+/// Six one-CU kernels of DSP 50, 40, 35, 30, 25 and 20 on two FPGAs of
+/// DSP 100: {50, 30, 20} and {40, 35, 25} fill both exactly, but
+/// Algorithm 1's best-fit order (largest WCET first) fills the first FPGA
+/// with 50 + 40 and leaves no room for the last kernel.
+Problem best_fit_trap() {
+  Problem p;
+  p.app.name = "trap";
+  const double dsp[] = {50.0, 40.0, 35.0, 30.0, 25.0, 20.0};
+  for (int k = 0; k < 6; ++k) {
+    p.app.kernels.push_back(test::make_kernel(
+        "k" + std::to_string(k), 6.0 - k, 0.0, dsp[k], 0.0));
+  }
+  p.platform = core::Platform{"2fpga", 2};
+  p.resource_fraction = 1.0;
+  p.alpha = 1.0;
+  p.beta = 0.0;
+  return p;
+}
+
+TEST(GpaSolver, ExactNkOnePackingSeedsAlgorithm1WhereItLeavesAKernelEmpty) {
+  const Problem p = best_fit_trap();
+  const std::vector<int> ones(p.num_kernels(), 1);
+  ASSERT_EQ(GreedyAllocator().allocate(p, ones).status().code(),
+            Code::kInfeasible);
+
+  auto r = GpaSolver().solve(p);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  const GpaResult& g = r.value();
+  EXPECT_EQ(g.totals, ones);
+  EXPECT_GT(g.placement_nodes, 0);
+  EXPECT_EQ(g.allocation.check(), std::vector<std::string>{});
+  for (std::size_t k = 0; k < p.num_kernels(); ++k) {
+    EXPECT_EQ(g.allocation.total_cu(k), 1) << "kernel " << k;
+  }
+  EXPECT_DOUBLE_EQ(g.allocation.ii(), 6.0);
+
+  // Where Algorithm 1 places on its own, the packing never runs.
+  auto tiny = GpaSolver().solve(tiny_problem());
+  ASSERT_TRUE(tiny.is_ok());
+  EXPECT_EQ(tiny.value().placement_nodes, 0);
+}
+
+TEST(GpaSolver, NoPlacementAtNkOneIsAProvedInfeasibility) {
+  // Three DSP-60 CUs pool to 180 of 200, so the pooled caps pass, but
+  // no FPGA holds two of them: Algorithm 1 fails and the exact N_k = 1
+  // packing proves that nothing places.
+  Problem p;
+  p.app.name = "three-sixties";
+  for (int k = 0; k < 3; ++k) {
+    p.app.kernels.push_back(
+        test::make_kernel("k" + std::to_string(k), 3.0 - k, 0.0, 60.0, 0.0));
+  }
+  p.platform = core::Platform{"2fpga", 2};
+  p.resource_fraction = 1.0;
+  p.beta = 0.0;
   auto r = GpaSolver().solve(p);
   EXPECT_EQ(r.status().code(), Code::kInfeasible);
 }

@@ -5,7 +5,7 @@
 
 #include "alloc/greedy.hpp"
 #include "core/relaxation.hpp"
-#include "solver/discretize.hpp"
+#include "solver/candidates.hpp"
 #include "testutil.hpp"
 
 namespace mfa::alloc {
@@ -148,8 +148,8 @@ class RandomGreedy : public ::testing::TestWithParam<int> {};
 TEST_P(RandomGreedy, InvariantsHold) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 40487u);
   Problem p = test::random_problem(rng);
-  auto disc = solver::Discretizer().run(p);
-  if (!disc.is_ok()) return;  // relaxation infeasible: nothing to place
+  auto disc = solver::discretize(p);
+  if (!disc.is_ok()) return;  // N_k = 1 does not fit: nothing to place
 
   auto r = GreedyAllocator().allocate(p, disc.value().totals);
   if (!r.is_ok()) return;  // legitimate: fragmentation can block eq. 8

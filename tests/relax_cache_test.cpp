@@ -8,13 +8,21 @@
 #include "core/fingerprint.hpp"
 #include "core/relax_cache.hpp"
 #include "core/relaxation.hpp"
-#include "solver/discretize.hpp"
 #include "testutil.hpp"
 
 namespace mfa::core {
 namespace {
 
 using test::tiny_problem;
+
+/// The i-th of a family of distinct relaxations: tiny_problem() with one
+/// kernel's WCET stretched, so every i keys (and solves) differently.
+Problem variant(int i) {
+  Problem p = tiny_problem();
+  p.app.kernels[static_cast<std::size_t>(i) % p.num_kernels()].wcet_ms *=
+      1.0 + 0.05 * (i + 1);
+  return p;
+}
 
 TEST(Fingerprint, SensitiveToRelaxationInputsOnly) {
   const Problem base = tiny_problem();
@@ -41,24 +49,18 @@ TEST(Fingerprint, SensitiveToRelaxationInputsOnly) {
   EXPECT_EQ(relaxation_fingerprint(changed), fp);
 }
 
-TEST(Fingerprint, BoundsAndHintsKeySeparateEntries) {
+TEST(Fingerprint, HintsKeySeparateEntries) {
   const Problem p = tiny_problem();
-  const CuBounds defaults = CuBounds::defaults(p);
-  CuBounds tightened = defaults;
-  tightened.upper[0] -= 1.0;
-  EXPECT_NE(relaxation_cache_key(p, defaults, 0.0),
-            relaxation_cache_key(p, tightened, 0.0));
-  EXPECT_NE(relaxation_cache_key(p, defaults, 0.0),
-            relaxation_cache_key(p, defaults, 2.5));
+  EXPECT_NE(relaxation_cache_key(p, 0.0), relaxation_cache_key(p, 2.5));
   // Bisection and interior-point entries never alias.
-  EXPECT_NE(relaxation_cache_key(p, defaults, 0.0),
+  EXPECT_NE(relaxation_cache_key(p, 0.0),
             relaxation_gp_cache_key(p, gp::SolverOptions{}));
 }
 
 TEST(RelaxationCache, HitMissAndFirstWriterWins) {
   RelaxationCache cache;
   const Problem p = tiny_problem();
-  const Fingerprint key = relaxation_cache_key(p, CuBounds::defaults(p), 0.0);
+  const Fingerprint key = relaxation_cache_key(p, 0.0);
 
   EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -81,12 +83,11 @@ TEST(RelaxationCache, HitMissAndFirstWriterWins) {
   EXPECT_EQ(cache.size(), 1u);
 
   // Infeasible outcomes are cacheable too.
-  CuBounds empty = CuBounds::defaults(p);
-  empty.lower[0] = 5.0;
-  empty.upper[0] = 4.0;
-  const Fingerprint bad_key = relaxation_cache_key(p, empty, 0.0);
+  Problem overloaded = p;
+  overloaded.app.kernels[0].res = overloaded.app.kernels[0].res * 100.0;
+  const Fingerprint bad_key = relaxation_cache_key(overloaded, 0.0);
   auto entry = cache.get_or_solve(
-      bad_key, [&] { return solve_relaxation(p, empty); });
+      bad_key, [&] { return solve_relaxation(overloaded); });
   ASSERT_NE(entry, nullptr);
   EXPECT_FALSE(entry->is_ok());
   EXPECT_EQ(entry->status().code(), Code::kInfeasible);
@@ -101,16 +102,13 @@ TEST(RelaxationCache, ConcurrentGetOrSolveIsConsistent) {
   // Many threads hammer the same small key set; every returned entry for
   // a key must be valid and identical in value, whatever thread won.
   RelaxationCache cache;
-  const Problem p = tiny_problem();
   std::vector<Fingerprint> keys;
-  std::vector<CuBounds> bounds;
+  std::vector<Problem> problems;
   for (int i = 0; i < 8; ++i) {
-    CuBounds b = CuBounds::defaults(p);
-    b.lower[i % p.num_kernels()] += 0.25 * (i + 1);  // 8 distinct keys
-    bounds.push_back(b);
-    keys.push_back(relaxation_cache_key(p, b, 0.0));
+    problems.push_back(variant(i));  // 8 distinct keys
+    keys.push_back(relaxation_cache_key(problems.back(), 0.0));
   }
-  const auto reference = [&](int i) { return solve_relaxation(p, bounds[i]); };
+  const auto reference = [&](int i) { return solve_relaxation(problems[i]); };
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
@@ -120,7 +118,7 @@ TEST(RelaxationCache, ConcurrentGetOrSolveIsConsistent) {
       for (int round = 0; round < 50; ++round) {
         const int i = (t + round) % 8;
         auto entry = cache.get_or_solve(
-            keys[i], [&] { return solve_relaxation(p, bounds[i]); });
+            keys[i], [&] { return solve_relaxation(problems[i]); });
         auto expect = reference(i);
         if (entry->is_ok() != expect.is_ok()) {
           ++mismatches;
@@ -149,13 +147,11 @@ TEST(RelaxationCache, ShardedCacheBehavesLikeSingleShard) {
   EXPECT_EQ(cache.num_shards(), 8u);
   EXPECT_EQ(cache.capacity(), 0u);  // unbounded
 
-  const Problem p = tiny_problem();
   std::vector<Fingerprint> keys;
   for (int i = 0; i < 64; ++i) {
-    CuBounds b = CuBounds::defaults(p);
-    b.lower[i % p.num_kernels()] += 0.1 * (i + 1);
-    keys.push_back(relaxation_cache_key(p, b, 0.0));
-    cache.insert(keys.back(), solve_relaxation(p, b));
+    const Problem p = variant(i);
+    keys.push_back(relaxation_cache_key(p, 0.0));
+    cache.insert(keys.back(), solve_relaxation(p));
   }
   EXPECT_EQ(cache.size(), 64u);
   for (const Fingerprint& key : keys) {
@@ -172,16 +168,13 @@ TEST(RelaxationCache, EvictionBoundsResidencyAndStaysTransparent) {
   RelaxationCache cache(config);
   EXPECT_EQ(cache.capacity(), 16u);
 
-  const Problem p = tiny_problem();
-  std::vector<CuBounds> bounds;
+  std::vector<Problem> problems;
   std::vector<Fingerprint> keys;
   for (int i = 0; i < 200; ++i) {
-    CuBounds b = CuBounds::defaults(p);
-    b.lower[i % p.num_kernels()] += 0.05 * (i + 1);
-    bounds.push_back(b);
-    keys.push_back(relaxation_cache_key(p, b, 0.0));
-    cache.get_or_solve(keys.back(),
-                       [&] { return solve_relaxation(p, b); });
+    problems.push_back(variant(i));
+    const Problem& p = problems.back();
+    keys.push_back(relaxation_cache_key(p, 0.0));
+    cache.get_or_solve(keys.back(), [&] { return solve_relaxation(p); });
   }
   // Residency never exceeds the bound, and evictions happened.
   EXPECT_LE(cache.size(), 16u);
@@ -191,10 +184,10 @@ TEST(RelaxationCache, EvictionBoundsResidencyAndStaysTransparent) {
 
   // Transparency: an evicted key re-solves to bit-identical bytes.
   for (int i = 0; i < 200; ++i) {
-    auto entry = cache.get_or_solve(
-        keys[static_cast<std::size_t>(i)],
-        [&] { return solve_relaxation(p, bounds[static_cast<std::size_t>(i)]); });
-    const auto fresh = solve_relaxation(p, bounds[static_cast<std::size_t>(i)]);
+    const Problem& p = problems[static_cast<std::size_t>(i)];
+    auto entry = cache.get_or_solve(keys[static_cast<std::size_t>(i)],
+                                    [&] { return solve_relaxation(p); });
+    const auto fresh = solve_relaxation(p);
     ASSERT_EQ(entry->is_ok(), fresh.is_ok());
     if (fresh.is_ok()) {
       EXPECT_EQ(entry->value().ii, fresh.value().ii);
@@ -208,14 +201,12 @@ TEST(RelaxationCache, EvictedEntriesStayAliveForHolders) {
   config.shards = 1;
   config.max_entries = 1;
   RelaxationCache cache(config);
-  const Problem p = tiny_problem();
-  CuBounds b0 = CuBounds::defaults(p);
-  auto held = cache.insert(relaxation_cache_key(p, b0, 0.0),
-                           solve_relaxation(p, b0));
-  CuBounds b1 = CuBounds::defaults(p);
-  b1.lower[0] += 1.0;
-  cache.insert(relaxation_cache_key(p, b1, 0.0), solve_relaxation(p, b1));
-  EXPECT_EQ(cache.size(), 1u);  // b0's entry was evicted…
+  const Problem p0 = variant(0);
+  auto held = cache.insert(relaxation_cache_key(p0, 0.0),
+                           solve_relaxation(p0));
+  const Problem p1 = variant(1);
+  cache.insert(relaxation_cache_key(p1, 0.0), solve_relaxation(p1));
+  EXPECT_EQ(cache.size(), 1u);  // p0's entry was evicted…
   ASSERT_NE(held, nullptr);     // …but the held pointer still works
   EXPECT_TRUE(held->is_ok());
   EXPECT_GT(held->value().ii, 0.0);
@@ -373,11 +364,10 @@ TEST(RelaxationWarmStart, BisectionHintPreservesOptimum) {
   // Any positive hint — inside or outside the bracket, feasible or not —
   // must leave the bisection optimum unchanged to tolerance.
   const Problem p = tiny_problem();
-  const CuBounds b = CuBounds::defaults(p);
-  const auto cold = solve_relaxation(p, b);
+  const auto cold = solve_relaxation(p);
   ASSERT_TRUE(cold.is_ok());
   for (double hint : {1e-6, 0.5, 0.9, 1.0, 1.1, 2.0, 1e6}) {
-    const auto warm = solve_relaxation(p, b, hint * cold.value().ii);
+    const auto warm = solve_relaxation(p, hint * cold.value().ii);
     ASSERT_TRUE(warm.is_ok()) << "hint factor " << hint;
     EXPECT_NEAR(warm.value().ii, cold.value().ii,
                 1e-9 * cold.value().ii)
@@ -396,30 +386,6 @@ TEST(RelaxationWarmStart, GpWarmStartMatchesCold) {
     EXPECT_NEAR(warm.value().n_hat[k], cold.value().n_hat[k],
                 1e-3 * cold.value().n_hat[k] + 1e-6);
   }
-}
-
-TEST(Discretizer, CachedSearchMatchesUncachedSearch) {
-  // The cache is a pure acceleration: a hit returns the bits a solve
-  // would, so the search (totals, II, node count) must match exactly.
-  const Problem p = tiny_problem();
-  const auto uncached = solver::Discretizer().run(p);
-  ASSERT_TRUE(uncached.is_ok());
-
-  RelaxationCache cache;
-  solver::DiscretizeOptions cached_opts;
-  cached_opts.cache = &cache;
-  const auto cached = solver::Discretizer(cached_opts).run(p);
-  ASSERT_TRUE(cached.is_ok());
-  EXPECT_EQ(cached.value().totals, uncached.value().totals);
-  EXPECT_EQ(cached.value().ii, uncached.value().ii);
-  EXPECT_EQ(cached.value().nodes, uncached.value().nodes);
-  EXPECT_GT(cache.size(), 0u);
-
-  // Re-running with a populated cache reproduces the result from hits.
-  const auto replay = solver::Discretizer(cached_opts).run(p);
-  ASSERT_TRUE(replay.is_ok());
-  EXPECT_EQ(replay.value().totals, cached.value().totals);
-  EXPECT_EQ(cache.stats().hits, cache.stats().misses);
 }
 
 }  // namespace

@@ -60,30 +60,33 @@ TEST(RelaxationBisection, InfeasibleWhenMinCusExceedPool) {
   EXPECT_EQ(sol.status().code(), Code::kInfeasible);
 }
 
-TEST(RelaxationBisection, RespectsUpperBounds) {
+TEST(RelaxationBisection, RespectsMaxCuTotal) {
+  // Two CUs fit the FPGA (DSP 40% each) while the pooled cap alone would
+  // allow 2.5: the box N̂ ≤ max_cu_total binds → N̂ = 2, ÎI = 10/2.
   Problem p;
-  p.app.kernels = {make_kernel("k", 10.0, 0.0, 1.0, 0.0)};
+  p.app.kernels = {make_kernel("k", 10.0, 0.0, 40.0, 0.0)};
   p.platform = Platform{"1", 1};
-  CuBounds b = CuBounds::defaults(p);
-  b.upper[0] = 2.0;
-  auto sol = solve_relaxation(p, b);
+  ASSERT_EQ(p.max_cu_total(0), 2);
+  auto sol = solve_relaxation(p);
   ASSERT_TRUE(sol.is_ok());
   EXPECT_NEAR(sol.value().n_hat[0], 2.0, 1e-9);
   EXPECT_NEAR(sol.value().ii, 5.0, 1e-9);
 }
 
-TEST(RelaxationBisection, EmptyBoundIntervalIsInfeasible) {
-  Problem p = tiny_problem();
-  CuBounds b = CuBounds::defaults(p);
-  b.lower[0] = 5.0;
-  b.upper[0] = 4.0;
-  auto sol = solve_relaxation(p, b);
-  EXPECT_EQ(sol.status().code(), Code::kInfeasible);
+TEST(RelaxationBisection, KernelThatFitsNowhereIsInfeasible) {
+  // The pool has room for the CU (DSP 120 of 200) but no single FPGA
+  // does: the box [1, max_cu_total = 0] is empty.
+  Problem p;
+  p.app.kernels = {make_kernel("k", 10.0, 0.0, 120.0, 0.0)};
+  p.platform = Platform{"2", 2};
+  ASSERT_EQ(p.max_cu_total(0), 0);
+  EXPECT_EQ(solve_relaxation(p).status().code(), Code::kInfeasible);
+  EXPECT_EQ(solve_relaxation_gp(p).status().code(), Code::kInfeasible);
 }
 
 TEST(RelaxationGp, ModelHasExpectedShape) {
   Problem p = tiny_problem();
-  gp::GpProblem model = build_relaxation_gp(p, CuBounds::defaults(p));
+  gp::GpProblem model = build_relaxation_gp(p);
   // Variables: II + one per kernel.
   EXPECT_EQ(model.num_variables(), 1 + p.num_kernels());
   // Constraints: latency + lower bound + upper bound per kernel, plus

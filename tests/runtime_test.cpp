@@ -314,9 +314,6 @@ TEST(Portfolio, GpaLanesMatchSeparateLaneSolves) {
             EXPECT_EQ(got.allocation->cu(k, f), want.allocation.cu(k, f));
           }
         }
-        ASSERT_TRUE(got.relaxed.has_value());
-        EXPECT_EQ(got.relaxed->ii, want.relaxed_ii);
-        EXPECT_EQ(got.relaxed->n_hat, want.relaxed_n);
       }
     }
   }

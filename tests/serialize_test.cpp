@@ -242,47 +242,46 @@ TEST(Serialize, MalformedInputNeverAborts) {
   }
 }
 
-TEST(Serialize, EventOutcomeKeepsThePr7BytePrefix) {
-  // The PR-8 consolidation into solve/cache/diff sections must not move
-  // a single byte of the historical flat wire shape: every key up to
-  // relax_hits serializes exactly as PR 7 did, the migration diff is
-  // strictly appended, and the warm-path allocation counter is strictly
-  // appended after that. Byte-comparing the whole dump pins all three.
+TEST(Serialize, EventOutcomeWireShape) {
+  // Byte-comparing the whole dump pins the key order: the flat solve
+  // keys, the delta class, the nested migration diff, then the
+  // warm-path allocation counter.
   service::EventOutcome o;
   o.sequence = 7;
   o.type = service::Event::Type::kAddPipeline;
   o.id = "p1";
   o.active_pipelines = 2;
-  o.solve.warm_started = true;
   o.solve.ii = 1.5;
   o.solve.phi = 0.5;
   o.solve.goal = 2.0;
   o.solve.totals = {2, 1};
   o.solve.nodes = 12;
   o.cache.delta = service::CompositeDelta::kStructural;
-  o.cache.gp_compiles = 1;
-  o.cache.gp_patches = 2;
-  o.cache.model_hits = 3;
-  o.cache.model_misses = 4;
-  o.cache.relax_hits = 5;
   o.diff.computed = true;
   o.diff.cus_moved = 3;
   o.diff.pipelines_disturbed = 1;
   o.diff.goal_regret = 0.25;
   o.diff.stability_applied = true;
   o.warm_allocs = 6;
+  const std::string prefix =
+      "{\"seq\":7,\"type\":\"add\",\"id\":\"p1\",\"status\":\"ok\","
+      "\"solve_status\":\"ok\",\"active\":2,"
+      "\"ii_ms\":1.5,\"phi\":0.5,\"goal\":2,\"totals\":[2,1],"
+      "\"nodes\":12,\"delta\":\"structural\",\"diff\":{\"computed\":true,"
+      "\"cus_moved\":3,\"disturbed\":1,\"goal_regret\":0.25,"
+      "\"stability_applied\":true,\"budget_exceeded\":false},";
+  // "warm_allocs" is the count when this binary links the counting
+  // interposer and null when it does not: an unmeasured counter never
+  // reads as a measured 0.
   EXPECT_EQ(to_json(o).dump(),
-            "{\"seq\":7,\"type\":\"add\",\"id\":\"p1\",\"status\":\"ok\","
-            "\"solve_status\":\"ok\",\"active\":2,\"warm\":true,"
-            "\"ii_ms\":1.5,\"phi\":0.5,\"goal\":2,\"totals\":[2,1],"
-            "\"nodes\":12,\"delta\":\"structural\",\"gp_compiles\":1,"
-            "\"gp_patches\":2,\"model_hits\":3,\"model_misses\":4,"
-            "\"relax_hits\":5,\"diff\":{\"computed\":true,\"cus_moved\":3,"
-            "\"disturbed\":1,\"goal_regret\":0.25,"
-            "\"stability_applied\":true,\"budget_exceeded\":false},"
-            "\"warm_allocs\":6}");
+            prefix + (alloc_counting_linked() ? "\"warm_allocs\":6}"
+                                              : "\"warm_allocs\":null}"));
+  EXPECT_EQ(alloc_count_to_json(6, /*measured=*/true).dump(), "6");
+  EXPECT_EQ(alloc_count_to_json(0, /*measured=*/true).dump(), "0");
+  EXPECT_TRUE(alloc_count_to_json(6, /*measured=*/false).is_null());
+  EXPECT_TRUE(alloc_count_to_json(0, /*measured=*/false).is_null());
 
-  // Targetless events (resize) still omit "id", as PR 7 did.
+  // Targetless events (resize) omit "id".
   service::EventOutcome bare;
   bare.type = service::Event::Type::kResizePlatform;
   const std::string dump = to_json(bare).dump();

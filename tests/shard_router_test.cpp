@@ -1,7 +1,7 @@
 // ShardRouter coverage: the pinned hash (stability is a wire/WAL
 // contract), deterministic routing, per-shard equivalence with
-// standalone servers, resize broadcast, the process-wide shared model
-// cache, and WAL recovery of a sharded deployment.
+// standalone servers, resize broadcast, and WAL recovery of a sharded
+// deployment.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -138,48 +138,6 @@ TEST(ShardRouter, ResizeBroadcastsToEveryShard) {
   }
   EXPECT_EQ(router.value()->stats().sequence, 3u);
   EXPECT_EQ(router.value()->stats().resizes, 3u);
-}
-
-TEST(ShardRouter, ShardsShareOneCompiledModelCache) {
-  const scenario::Trace trace = small_trace(1);
-  RouterOptions options;
-  options.shards = 4;
-  options.server.portfolio.gpa.use_interior_point = true;
-  auto router = ShardRouter::open(trace.platform, options);
-  ASSERT_TRUE(router.is_ok());
-
-  // Two ids with the same pipeline structure, landing on *different*
-  // shards — probe the ring until we find a pair.
-  std::string first = "tenant-0";
-  std::string second;
-  for (int i = 1; i < 256 && second.empty(); ++i) {
-    const std::string candidate = "tenant-" + std::to_string(i);
-    if (router.value()->shard_of(candidate) !=
-        router.value()->shard_of(first)) {
-      second = candidate;
-    }
-  }
-  ASSERT_FALSE(second.empty());
-
-  core::Application app;
-  app.name = "shared-structure";
-  app.kernels = {
-      test::make_kernel("k0", 8.0, 10.0, 20.0, 5.0),
-      test::make_kernel("k1", 12.0, 8.0, 15.0, 4.0),
-  };
-
-  const EventOutcome a =
-      router.value()->apply(Event::add(PipelineSpec{first, app, 1.0}));
-  ASSERT_TRUE(a.status.is_ok()) << a.status.to_string();
-  EXPECT_GT(a.cache.model_misses, 0u);  // first compile of this structure
-
-  const EventOutcome b =
-      router.value()->apply(Event::add(PipelineSpec{second, app, 1.0}));
-  ASSERT_TRUE(b.status.is_ok()) << b.status.to_string();
-  // The second shard never compiled this structure itself — a hit here
-  // can only come from the process-wide shared cache.
-  EXPECT_GT(b.cache.model_hits, 0u);
-  EXPECT_EQ(b.cache.gp_compiles, 0);
 }
 
 TEST(ShardRouter, RecoversEveryShardFromWalRoot) {

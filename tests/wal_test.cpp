@@ -56,10 +56,7 @@ std::string read_all(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// The deterministic solve outputs of an outcome (cache counters are
-/// excluded on purpose: a snapshot-spliced recovery rebuilds the caches
-/// from the tail only, which is transparent to results but not to
-/// hit/miss counts).
+/// The deterministic solve outputs of an outcome.
 void expect_solve_eq(const EventOutcome& a, const EventOutcome& b) {
   EXPECT_EQ(a.sequence, b.sequence);
   EXPECT_EQ(a.type, b.type);
@@ -67,7 +64,6 @@ void expect_solve_eq(const EventOutcome& a, const EventOutcome& b) {
   EXPECT_EQ(a.status.code(), b.status.code());
   EXPECT_EQ(a.solve_status.code(), b.solve_status.code());
   EXPECT_EQ(a.active_pipelines, b.active_pipelines);
-  EXPECT_EQ(a.solve.warm_started, b.solve.warm_started);
   EXPECT_DOUBLE_EQ(a.solve.ii, b.solve.ii);
   EXPECT_DOUBLE_EQ(a.solve.phi, b.solve.phi);
   EXPECT_DOUBLE_EQ(a.solve.goal, b.solve.goal);
