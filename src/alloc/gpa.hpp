@@ -98,7 +98,10 @@ class GpaSolver {
   /// Runs GP → discretize → allocate. kInfeasible propagates from the
   /// pooled constraints or, when Algorithm 1 fails, from an exact
   /// packing that proved one CU per kernel does not fit at R; kLimit
-  /// when that packing ran out of kPlacementNodes first.
+  /// when that packing ran out of kPlacementNodes first. Every
+  /// kInfeasible is a proof. The interior-point root's is too: its
+  /// model loosens N_k ≥ 1 by a relative 1e-9, so phase I finds a strict
+  /// interior whenever N_k = 1 fits the pooled caps.
   [[nodiscard]] StatusOr<GpaResult> solve(const core::Problem& problem) const;
 
  private:

@@ -23,6 +23,7 @@ struct FpgaState {
   int index = 0;         ///< original FPGA id
   ResourceVec cap;       ///< this FPGA's constraint-level resource cap
   double bw_cap = 0.0;   ///< this FPGA's bandwidth cap
+  double key = 0.0;      ///< slack_key(), refreshed by every placement
 };
 
 /// Decreasing criticality: the II impact of removing one CU from the
@@ -32,20 +33,21 @@ struct FpgaState {
 std::vector<std::size_t> sort_kernels(const Problem& p,
                                       const std::vector<int>& targets,
                                       const std::vector<int>& remaining) {
-  std::vector<std::size_t> order(remaining.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  auto criticality = [&](std::size_t k) {
-    if (remaining[k] <= 0) return -1.0;
+  std::vector<double> criticality(remaining.size());
+  for (std::size_t k = 0; k < remaining.size(); ++k) {
     const double wcet = p.app.kernels[k].wcet_ms;
     const int n = targets[k];
-    if (n == 1) return std::numeric_limits<double>::infinity();
-    return wcet / (n - 1) - wcet / n;
-  };
+    criticality[k] = remaining[k] <= 0 ? -1.0
+                     : n == 1 ? std::numeric_limits<double>::infinity()
+                              : wcet / (n - 1) - wcet / n;
+  }
+  std::vector<std::size_t> order(remaining.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     const double ca = criticality(a);
-                     const double cb = criticality(b);
-                     if (ca != cb) return ca > cb;
+                     if (criticality[a] != criticality[b]) {
+                       return criticality[a] > criticality[b];
+                     }
                      // Ties: bulkier kernels first (harder to place later).
                      return p.app.kernels[a].res.max_axis() >
                             p.app.kernels[b].res.max_axis();
@@ -81,6 +83,36 @@ bool fits_entirely(const Kernel& kern, int count, const FpgaState& s) {
   return fit(kern, s, count) >= count;
 }
 
+/// Line 22's order: normalized slack first (most occupied first); ties —
+/// notably all FPGAs still empty — break toward the tightest device
+/// class, so roomy devices are kept free for the kernels that need them.
+bool slack_before(const FpgaState& a, const FpgaState& b) {
+  if (a.key != b.key) return a.key < b.key;
+  return a.cap.max_axis() < b.cap.max_axis();
+}
+
+/// Most CUs of each kernel that one fresh FPGA holds at R_c, over the
+/// device classes present in the fleet, capped at the kernel's total
+/// (the most the pre-pass ever asks for). So all `count` ≤ totals[k]
+/// CUs of kernel k fit one fresh FPGA iff fit[k] ≥ count.
+std::vector<int> fresh_fits(const Problem& p, const std::vector<int>& totals,
+                            double rc) {
+  std::vector<int> fits(p.num_kernels(), 0);
+  std::vector<bool> seen(p.platform.num_classes(), false);
+  for (int f = 0; f < p.num_fpgas(); ++f) {
+    const auto c = static_cast<std::size_t>(p.platform.class_index(f));
+    if (seen[c]) continue;
+    seen[c] = true;
+    const ResourceVec cap = p.platform.fpga_capacity(f) * rc;
+    const double bw_cap = p.platform.fpga_bw_capacity(f) * p.bw_fraction;
+    const FpgaState fresh{cap, bw_cap, false, f, cap, bw_cap};
+    for (std::size_t k = 0; k < p.num_kernels(); ++k) {
+      fits[k] = std::max(fits[k], fit(p.app.kernels[k], fresh, totals[k]));
+    }
+  }
+  return fits;
+}
+
 /// One allocation attempt at a fixed constraint R_c.
 class Attempt {
  public:
@@ -94,8 +126,9 @@ class Attempt {
       const ResourceVec cap = problem.platform.fpga_capacity(f) * rc;
       const double bw_cap =
           problem.platform.fpga_bw_capacity(f) * problem.bw_fraction;
-      fpgas_[static_cast<std::size_t>(f)] = {cap, bw_cap, false, f, cap,
-                                             bw_cap};
+      FpgaState& s = fpgas_[static_cast<std::size_t>(f)];
+      s = {cap, bw_cap, false, f, cap, bw_cap};
+      s.key = slack_key(s);
     }
     // Tightest devices first so consolidation fills small FPGAs before
     // touching roomy ones; stable, so a homogeneous platform keeps its
@@ -110,22 +143,23 @@ class Attempt {
   }
 
   /// Lines 11–21: split kernels too large for one FPGA across untouched
-  /// FPGAs, most critical first. Returns false if a single CU of some
-  /// kernel fits nowhere (attempt hopeless at this R_c).
-  bool prepass() {
+  /// FPGAs, most critical first. `fresh_fit` is fresh_fits() at this
+  /// attempt's R_c. Returns false if a single CU of some kernel fits
+  /// nowhere (attempt hopeless at this R_c).
+  bool prepass(const std::vector<int>& fresh_fit) {
     for (std::size_t k : sort_kernels(p_, targets_, remaining_)) {
       const Kernel& kern = p_.app.kernels[k];
       std::size_t f = 0;
       while (remaining_[k] > 0 && f < fpgas_.size()) {
         // "CU_k · R_k > R": the whole kernel does not fit on any one
         // (fresh) FPGA of the fleet.
-        if (fits_on_one_fpga(kern, remaining_[k])) break;
+        if (fresh_fit[k] >= remaining_[k]) break;
         if (!fpgas_[f].touched) {
           const int chunk = fit(kern, fpgas_[f], remaining_[k]);
           if (chunk == 0) {
             // This device class cannot host even one CU; try the next
             // FPGA — only give up if no FPGA at all can host one.
-            if (!any_fpga_fits_one(kern)) return false;
+            if (fresh_fit[k] < 1) return false;
             ++f;
             continue;
           }
@@ -150,11 +184,14 @@ class Attempt {
   /// kernels whose II is hurt least.
   /// With `singles_first`, a preliminary round guarantees one CU per
   /// kernel before any full-kernel placement (the eq.-8 fallback).
+  /// The FPGAs are sorted once here (the pre-pass and the seed place
+  /// without re-sorting); after that each placement re-inserts only the
+  /// FPGA it changed, with the stable sort's tie-breaks (reinsert()).
   void main_pass(bool singles_first, bool consolidate = true) {
-    sort_ascending_slack();
+    std::stable_sort(fpgas_.begin(), fpgas_.end(), slack_before);
     if (singles_first) {
       for (std::size_t k : sort_kernels(p_, targets_, remaining_)) {
-        if (remaining_[k] == 0 || alloc_.total_cu(k) > 0) continue;
+        if (remaining_[k] == 0 || placed(k) > 0) continue;
         place_one(k);
       }
     }
@@ -186,7 +223,7 @@ class Attempt {
 
   [[nodiscard]] bool every_kernel_placed() const {
     for (std::size_t k = 0; k < p_.num_kernels(); ++k) {
-      if (alloc_.total_cu(k) == 0) return false;
+      if (placed(k) == 0) return false;
     }
     return true;
   }
@@ -195,45 +232,37 @@ class Attempt {
   Allocation take_allocation() { return std::move(alloc_); }
 
  private:
+  /// CUs of kernel k placed so far (its row sum in alloc_).
+  [[nodiscard]] int placed(std::size_t k) const {
+    return targets_[k] - remaining_[k];
+  }
+
   void place(std::size_t k, FpgaState& s, int count) {
     MFA_ASSERT(count > 0 && count <= remaining_[k]);
     const Kernel& kern = p_.app.kernels[k];
     alloc_.add_cu(k, s.index, count);
     s.slack -= kern.res * static_cast<double>(count);
     s.slack_bw -= kern.bw * count;
+    s.key = slack_key(s);
     s.touched = true;
     remaining_[k] -= count;
   }
 
-  void sort_ascending_slack() {
-    // Normalized slack first (most occupied first); ties — notably all
-    // FPGAs still empty — break toward the tightest device class, so
-    // roomy devices are kept free for the kernels that need them.
-    std::stable_sort(fpgas_.begin(), fpgas_.end(),
-                     [&](const FpgaState& a, const FpgaState& b) {
-                       const double ka = slack_key(a);
-                       const double kb = slack_key(b);
-                       if (ka != kb) return ka < kb;
-                       return a.cap.max_axis() < b.cap.max_axis();
-                     });
-  }
-
-  /// One CU of `kern` fits a fresh FPGA of at least one device class.
-  [[nodiscard]] bool any_fpga_fits_one(const Kernel& kern) const {
-    for (const FpgaState& s : fpgas_) {
-      const FpgaState fresh{s.cap, s.bw_cap, false, 0, s.cap, s.bw_cap};
-      if (fit(kern, fresh, 1) >= 1) return true;
+  /// Restores the slack order after a placement changed fpgas_[i]'s key,
+  /// moving it exactly where a stable sort of the otherwise sorted fleet
+  /// would: after the equal FPGAs before it, before those after it. The
+  /// key usually falls, but a (tolerated) negative demand can raise it.
+  void reinsert(std::size_t i) {
+    const auto pos = fpgas_.begin() + static_cast<std::ptrdiff_t>(i);
+    const auto earlier =
+        std::upper_bound(fpgas_.begin(), pos, *pos, slack_before);
+    if (earlier != pos) {
+      std::rotate(earlier, pos, pos + 1);
+      return;
     }
-    return false;
-  }
-
-  /// All `count` CUs of `kern` fit one fresh FPGA of some class.
-  [[nodiscard]] bool fits_on_one_fpga(const Kernel& kern, int count) const {
-    for (const FpgaState& s : fpgas_) {
-      const FpgaState fresh{s.cap, s.bw_cap, false, 0, s.cap, s.bw_cap};
-      if (fits_entirely(kern, count, fresh)) return true;
-    }
-    return false;
+    const auto later =
+        std::lower_bound(pos + 1, fpgas_.end(), *pos, slack_before);
+    std::rotate(pos, pos + 1, later);
   }
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
@@ -247,14 +276,14 @@ class Attempt {
       const std::vector<bool>& exhausted) const {
     auto keys = [&](std::size_t k) {
       const double wcet = p_.app.kernels[k].wcet_ms;
-      const int placed = alloc_.total_cu(k);
+      const int done = placed(k);
       const double inf = std::numeric_limits<double>::infinity();
-      if (placed == 0) {
+      if (done == 0) {
         const int n = targets_[k];
         const double impact = n == 1 ? inf : wcet / (n - 1) - wcet / n;
         return std::array<double, 3>{inf, impact, wcet};
       }
-      const double marginal = wcet / placed - wcet / (placed + 1);
+      const double marginal = wcet / done - wcet / (done + 1);
       return std::array<double, 3>{marginal, wcet, 0.0};
     };
     std::size_t best = kNone;
@@ -271,13 +300,13 @@ class Attempt {
   }
 
   /// Places all remaining CUs of kernel k on the most occupied FPGA that
-  /// fits them entirely. Re-sorts FPGAs on success (line 37).
+  /// fits them entirely, then restores the slack order (line 37).
   bool place_full(std::size_t k) {
     const Kernel& kern = p_.app.kernels[k];
-    for (FpgaState& s : fpgas_) {
-      if (fits_entirely(kern, remaining_[k], s)) {
-        place(k, s, remaining_[k]);
-        sort_ascending_slack();
+    for (std::size_t i = 0; i < fpgas_.size(); ++i) {
+      if (fits_entirely(kern, remaining_[k], fpgas_[i])) {
+        place(k, fpgas_[i], remaining_[k]);
+        reinsert(i);
         return true;
       }
     }
@@ -287,10 +316,10 @@ class Attempt {
   /// Places one CU of kernel k on the most occupied FPGA with room.
   bool place_one(std::size_t k) {
     const Kernel& kern = p_.app.kernels[k];
-    for (FpgaState& s : fpgas_) {
-      if (fit(kern, s, 1) >= 1) {
-        place(k, s, 1);
-        sort_ascending_slack();
+    for (std::size_t i = 0; i < fpgas_.size(); ++i) {
+      if (fit(kern, fpgas_[i], 1) >= 1) {
+        place(k, fpgas_[i], 1);
+        reinsert(i);
         return true;
       }
     }
@@ -406,11 +435,12 @@ StatusOr<GreedyResult> GreedyAllocator::allocate(
     // marginal CU-by-CU variant, and keep the best attempt of the
     // iteration: all kernels placed > nothing dropped > lowest II >
     // lowest spreading.
+    const std::vector<int> fresh_fit = fresh_fits(problem, totals, rc);
     std::vector<Attempt> attempts;
     attempts.reserve(3);
     {
       Attempt primary(problem, totals, rc);
-      if (primary.prepass()) {
+      if (primary.prepass(fresh_fit)) {
         primary.main_pass(/*singles_first=*/false);
         attempts.push_back(std::move(primary));
       }
@@ -418,7 +448,7 @@ StatusOr<GreedyResult> GreedyAllocator::allocate(
     if (attempts.empty() || attempts.front().leftover() > 0 ||
         !attempts.front().every_kernel_placed()) {
       Attempt fallback(problem, totals, rc);
-      if (fallback.prepass()) {
+      if (fallback.prepass(fresh_fit)) {
         fallback.main_pass(/*singles_first=*/true);
         attempts.push_back(std::move(fallback));
       }

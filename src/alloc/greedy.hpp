@@ -14,7 +14,11 @@
 //   * then places each kernel entirely on the most occupied FPGA that
 //     still fits it (FPGAs sorted by increasing slack, lines 22–32),
 //     falling back to a partial placement on the least occupied FPGA
-//     (lines 33–36);
+//     (lines 33–36). The paper re-sorts the FPGAs after every placement
+//     (line 37); only the placed FPGA's slack changed, so it is
+//     re-inserted alone, exactly where the stable sort would put it
+//     (normalized slack, then the tighter device class, then the
+//     earlier position);
 //   * on failure relaxes the resource constraint by Δ and retries, up to
 //     a maximum deviation T (the Fig. 2 parameter).
 //

@@ -231,28 +231,14 @@ SolveResult Portfolio::solve(const SolveRequest& request) const {
   }
 
   if (winner == lanes.size()) {
-    // No lane produced an allocation. Only an exact-kind lane's
-    // kInfeasible is a *proof*; GP+A's is heuristic (Algorithm 1 giving
-    // up within T says nothing about the true feasible set), so a
-    // portfolio of heuristic lanes must never promote their unanimous
-    // failure to a proof-grade kInfeasible — it stays kLimit.
+    // No lane produced an allocation. Every lane's kInfeasible is a
+    // proof — GP+A's too: the pooled caps reject N_k = 1, or the exact
+    // N_k = 1 packing does — so the first one is the aggregate verdict.
     Status status{Code::kLimit, "every lane exhausted its budget"};
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      if (lanes[i].kind == StrategySpec::Kind::kGpa) continue;
-      if (runs[i].outcome.status.code() == Code::kInfeasible) {
-        status = runs[i].outcome.status;
+    for (const LaneRun& r : runs) {
+      if (r.outcome.status.code() == Code::kInfeasible) {
+        status = r.outcome.status;
         break;
-      }
-    }
-    if (status.code() == Code::kLimit) {
-      const bool all_infeasible = std::all_of(
-          runs.begin(), runs.end(), [](const LaneRun& r) {
-            return r.outcome.status.code() == Code::kInfeasible;
-          });
-      if (all_infeasible) {
-        status = Status{Code::kLimit,
-                        "every heuristic lane reported infeasibility "
-                        "(no exact lane ran; not a proof)"};
       }
     }
     result.status = std::move(status);

@@ -138,6 +138,38 @@ TEST(GreedyAllocator, RespectsConstraintScaling) {
   }
 }
 
+TEST(GreedyAllocator, EqualSlackTiesBreakLikeAStableSort) {
+  // After each placement the FPGAs are ordered by normalized slack; ties
+  // go to the tighter device class, then to the earlier position. Two
+  // classes, FPGAs 1 and 3 small (40 %), 0 and 2 big (80 %); every kernel
+  // has one CU and they place in decreasing WCET:
+  //   a (50 % BRAM) fits only a big FPGA → FPGA 0, slack key 0.3 (BW);
+  //   c (70 % BW) no longer fits FPGA 0 → FPGA 1, key 0.3 too: the small
+  //     FPGA 1 now sorts before the big FPGA 0 at equal key;
+  //   d fits both → FPGA 1 (key 0.25);
+  //   e (75 % BW) fits only FPGA 3 → key 0.25, after FPGA 1 (same class,
+  //     earlier position);
+  //   f fits both FPGAs at 0.25 → FPGA 1.
+  Problem p;
+  p.app.kernels = {make_kernel("a", 10.0, 50.0, 0.0, 70.0),
+                   make_kernel("c", 9.0, 10.0, 0.0, 70.0),
+                   make_kernel("d", 8.0, 5.0, 0.0, 5.0),
+                   make_kernel("e", 7.0, 10.0, 0.0, 75.0),
+                   make_kernel("f", 6.0, 5.0, 0.0, 5.0)};
+  const core::DeviceClass small{"small", core::ResourceVec::uniform(40.0),
+                                100.0};
+  const core::DeviceClass big{"big", core::ResourceVec::uniform(80.0), 100.0};
+  p.platform = Platform::heterogeneous("mix", {big, small}, {0, 1, 0, 1});
+  auto r = GreedyAllocator().allocate(p, {1, 1, 1, 1, 1});
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(r.value().dropped_cus, 0);
+  const std::vector<int> expected_fpga = {0, 1, 1, 3, 1};
+  for (std::size_t k = 0; k < p.num_kernels(); ++k) {
+    EXPECT_EQ(r.value().allocation.cu(k, expected_fpga[k]), 1)
+        << p.app.kernels[k].name;
+  }
+}
+
 /// Property: on random instances with discretizer-produced totals, the
 /// allocator always returns a placement that (a) respects caps at the
 /// used fraction, (b) keeps one CU per kernel, (c) places no more than

@@ -200,12 +200,11 @@ TEST(Portfolio, InfeasibleProblemReportsInfeasible) {
   EXPECT_FALSE(r.allocation.has_value());
 }
 
-TEST(Portfolio, HeuristicOnlyPortfolioNeverClaimsInfeasibilityProof) {
-  // Regression: with every configured lane heuristic (GP+A), unanimous
-  // kInfeasible used to be promoted to the aggregate kInfeasible — a
-  // proof-grade claim no heuristic lane can back. Two kernels at 60 %
-  // of one FPGA each fit alone (validate passes) but can never share
-  // the device, so every GP+A lane reports infeasibility.
+TEST(Portfolio, GpaOnlyPortfolioReportsProvedInfeasibility) {
+  // Two kernels at 60 % of one FPGA each fit alone (validate passes) but
+  // can never share the device. GP+A's kInfeasible is a proof (its exact
+  // N_k = 1 packing finds no placement), so a portfolio of GP+A lanes
+  // alone reports kInfeasible, and the exact lane agrees.
   core::Problem problem;
   problem.app.name = "overcommitted";
   problem.app.kernels = {test::make_kernel("a", 10.0, 60.0, 10.0, 5.0),
@@ -216,15 +215,17 @@ TEST(Portfolio, HeuristicOnlyPortfolioNeverClaimsInfeasibilityProof) {
   o.run_naive = false;
   const SolveResult r = Portfolio(o, 1).solve(problem);
   EXPECT_FALSE(r.is_ok());
-  EXPECT_EQ(r.status.code(), Code::kLimit);
+  EXPECT_EQ(r.status.code(), Code::kInfeasible);
   for (const StrategyOutcome& lane : r.lanes) {
     EXPECT_EQ(lane.status.code(), Code::kInfeasible);
   }
 
-  // The same instance with an exact lane *does* earn the proof.
+  o.gpa_t_max.clear();
   o.run_exact = true;
-  const SolveResult proved = Portfolio(o, 1).solve(problem);
-  EXPECT_EQ(proved.status.code(), Code::kInfeasible);
+  const SolveResult exact = Portfolio(o, 1).solve(problem);
+  ASSERT_EQ(exact.lanes.size(), 1u);
+  EXPECT_EQ(exact.lanes[0].strategy, "exact");
+  EXPECT_EQ(exact.status.code(), Code::kInfeasible);
 }
 
 TEST(Portfolio, DeadlineStopsExactSolver) {

@@ -459,6 +459,8 @@ TEST(AllocServer, UnplacedWorkloadsHaveNoPlacement) {
       }
       if (o.solve_status.is_ok() || live.empty()) continue;
       ++unplaced;
+      EXPECT_EQ(o.solve_status.code(), Code::kInfeasible)
+          << "event " << o.sequence << ": " << o.solve_status.to_string();
       const auto exact =
           solver::ExactSolver().solve(wholesale_compose(platform, live, options));
       EXPECT_EQ(exact.status().code(), Code::kInfeasible)
